@@ -392,12 +392,7 @@ impl Harness {
         let sizes = pool.nc_sizes();
         for t in pool.tenants() {
             let class = t.mapping.config.mca_size;
-            for (nc, &size) in sizes
-                .iter()
-                .enumerate()
-                .take(t.end_nc())
-                .skip(t.first_nc())
-            {
+            for (nc, &size) in sizes.iter().enumerate().take(t.end_nc()).skip(t.first_nc()) {
                 if size != class {
                     return self.violated(&format!(
                         "NC {nc} (class {size}) hosts a class-{class} tenant"

@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use resparc_suite::prelude::*;
+use resparc_suite::resparc_core::map::{partition::partition_layer, place};
 use resparc_suite::resparc_neuro::network::reference;
 
 fn bench_crossbar_mvm(c: &mut Criterion) {
@@ -37,6 +38,24 @@ fn bench_mapper(c: &mut Criterion) {
             Mapper::new(ResparcConfig::resparc_64())
                 .map(black_box(&mlp))
                 .unwrap()
+        })
+    });
+    // The general path (connectivity matrix + column packing, then
+    // placement) on the same layers: the ratio gate's denominator for
+    // the dense grid tiler `mnist_mlp_64` takes.
+    let config = ResparcConfig::resparc_64();
+    let options = PartitionOptions::new(config.mca_size);
+    group.bench_function("mnist_mlp_64_general", |b| {
+        b.iter(|| {
+            let partitions: Vec<_> = black_box(&mlp)
+                .layers()
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| {
+                    partition_layer(&ConnectivityMatrix::from_layer(spec), i, &options)
+                })
+                .collect();
+            place(&partitions, &config)
         })
     });
     let cnn = resparc_suite::resparc_workloads::mnist_cnn().topology;

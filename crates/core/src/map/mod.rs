@@ -18,7 +18,6 @@ pub mod placement;
 use std::sync::{Arc, OnceLock};
 
 use resparc_device::sizing::max_feasible_size;
-use resparc_neuro::connectivity::ConnectivityMatrix;
 use resparc_neuro::network::Network;
 use resparc_neuro::topology::Topology;
 
@@ -44,6 +43,13 @@ pub enum MapError {
         /// Physical NeuroCells on the chip.
         physical_ncs: usize,
     },
+    /// The per-layer mean weight magnitudes do not match the topology.
+    WeightCount {
+        /// Layers in the topology.
+        expected: usize,
+        /// Magnitudes supplied.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for MapError {
@@ -58,6 +64,11 @@ impl std::fmt::Display for MapError {
                 f,
                 "placement at NC origin {origin_nc} would occupy NCs up to {end_nc}, beyond the \
                  {physical_ncs} physical NeuroCells"
+            ),
+            MapError::WeightCount { expected, got } => write!(
+                f,
+                "need one mean weight magnitude per layer: the topology has {expected} layers, \
+                 got {got} magnitudes"
             ),
         }
     }
@@ -174,11 +185,8 @@ impl Mapper {
     /// # Errors
     ///
     /// Returns [`MapError::InvalidConfig`] if the configuration fails
-    /// validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_weight_mags.len() != topology.layer_count()`.
+    /// validation, or [`MapError::WeightCount`] if `mean_weight_mags`
+    /// does not hold one magnitude per layer.
     pub fn map_with_weights(
         &self,
         topology: &Topology,
@@ -193,12 +201,10 @@ impl Mapper {
     /// # Errors
     ///
     /// Returns [`MapError::InvalidConfig`] if the configuration fails
-    /// validation, or [`MapError::OriginOutOfBounds`] if a non-zero
-    /// origin would place the network past the physical fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_weight_mags.len() != topology.layer_count()`.
+    /// validation, [`MapError::WeightCount`] if `mean_weight_mags` does
+    /// not hold one magnitude per layer, or [`MapError::OriginOutOfBounds`]
+    /// if a non-zero origin would place the network past the physical
+    /// fabric.
     pub fn map_with_weights_at(
         &self,
         topology: &Topology,
@@ -206,11 +212,12 @@ impl Mapper {
         origin_nc: usize,
     ) -> Result<Mapping, MapError> {
         self.config.validate().map_err(MapError::InvalidConfig)?;
-        assert_eq!(
-            mean_weight_mags.len(),
-            topology.layer_count(),
-            "need one mean weight magnitude per layer"
-        );
+        if mean_weight_mags.len() != topology.layer_count() {
+            return Err(MapError::WeightCount {
+                expected: topology.layer_count(),
+                got: mean_weight_mags.len(),
+            });
+        }
 
         let opts = {
             let mut o = PartitionOptions::new(self.config.mca_size);
@@ -222,10 +229,7 @@ impl Mapper {
             .layers()
             .iter()
             .enumerate()
-            .map(|(i, spec)| {
-                let conn = ConnectivityMatrix::from_layer(spec);
-                partition::partition_layer(&conn, i, &opts)
-            })
+            .map(|(i, spec)| partition::partition_spec(spec, i, &opts))
             .collect();
         let placement = place_with_origin(&partitions, &self.config, origin_nc);
         if origin_nc > 0 && placement.end_nc() > self.config.physical_ncs {
@@ -458,6 +462,29 @@ mod tests {
         // in-bounds origins pass.
         assert!(mapper.map_at(&t, 0).is_ok());
         assert!(mapper.map_at(&t, 10).is_ok());
+    }
+
+    #[test]
+    fn wrong_weight_count_is_a_typed_error() {
+        let t = Topology::mlp(32, &[16, 4]);
+        let mapper = Mapper::new(ResparcConfig::resparc_64());
+        for origin in [0, 1] {
+            let err = mapper.map_with_weights_at(&t, &[0.5], origin).unwrap_err();
+            assert_eq!(
+                err,
+                MapError::WeightCount {
+                    expected: 2,
+                    got: 1
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                "need one mean weight magnitude per layer: the topology has 2 layers, got 1 \
+                 magnitudes"
+            );
+        }
+        assert!(mapper.map_with_weights(&t, &[0.5, 0.5, 0.5]).is_err());
+        assert!(mapper.map_with_weights(&t, &[0.5, 0.5]).is_ok());
     }
 
     #[test]

@@ -13,10 +13,18 @@
 //! * dense (MLP) matrices degenerate to the classic grid tiling, filling
 //!   every row and column.
 //!
+//! [`partition_spec`] picks the route by layer kind. Dense layers are
+//! grid-tiled directly from their shape, with no connectivity matrix, at
+//! a cost independent of their synapse count. Conv/pool layers take the
+//! general path, [`partition_layer`], which packs a [`ConnectivityMatrix`]
+//! column by column at O(1) work per synapse; it is also the oracle the
+//! dense tiler is tested against.
+//!
 //! The fundamental invariant — checked here and property-tested — is that
 //! **every synapse of the layer lands in exactly one tile**.
 
 use resparc_neuro::connectivity::ConnectivityMatrix;
+use resparc_neuro::topology::LayerSpec;
 
 /// Aggregate description of one crossbar-sized tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,46 +182,50 @@ impl PartitionOptions {
     }
 }
 
-/// Mutable state of the tile currently being filled.
+/// Row slot of an input that has no row in the open tile.
+const NO_ROW: u32 = u32::MAX;
+
+/// Mutable state of the tile currently being filled. One instance serves
+/// a whole layer: closing a tile hands out its rows and resets it.
 struct OpenTile {
-    /// Map from global input id to row slot. Ordered so every walk of
-    /// the tile state is deterministic by construction (tiles hold at
-    /// most `mca_size` entries; the BTree cost is negligible).
-    row_of: std::collections::BTreeMap<u32, u32>,
+    /// Row slot of each global input id in the open tile, [`NO_ROW`]
+    /// where the input has none. Allocated once per layer and reset only
+    /// at the closed tile's `row_inputs`, so a probe is one index.
+    slot_of: Vec<u32>,
     row_inputs: Vec<u32>,
+    cols: u32,
+    /// Per-column assignments, filled only when details are recorded.
     columns: Vec<TileColumnDetail>,
     synapses: u32,
-    /// Row budget consumed if input sharing is disabled.
-    private_rows: u32,
 }
 
 impl OpenTile {
-    fn new() -> Self {
+    fn new(inputs: usize) -> Self {
         Self {
-            row_of: std::collections::BTreeMap::new(),
+            slot_of: vec![NO_ROW; inputs],
             row_inputs: Vec::new(),
+            cols: 0,
             columns: Vec::new(),
             synapses: 0,
-            private_rows: 0,
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.cols == 0
     }
 
     /// Rows that would be occupied after adding `inputs`, under the given
     /// sharing rule.
     fn rows_after(&self, inputs: &[u32], sharing: bool) -> u32 {
-        if sharing {
-            let new = inputs
+        let new = if sharing {
+            inputs
                 .iter()
-                .filter(|i| !self.row_of.contains_key(i))
-                .count() as u32;
-            self.row_inputs.len() as u32 + new
+                .filter(|&&i| self.slot_of[i as usize] == NO_ROW)
+                .count()
         } else {
-            self.private_rows + inputs.len() as u32
-        }
+            inputs.len()
+        };
+        (self.row_inputs.len() + new) as u32
     }
 
     fn push_column(
@@ -227,55 +239,159 @@ impl OpenTile {
     ) {
         let mut synapses = Vec::new();
         for (&i, &w) in inputs.iter().zip(weight_ids) {
+            let next = self.row_inputs.len() as u32;
             let slot = if sharing {
-                *self.row_of.entry(i).or_insert_with(|| {
+                let slot = &mut self.slot_of[i as usize];
+                if *slot == NO_ROW {
+                    *slot = next;
                     self.row_inputs.push(i);
-                    (self.row_inputs.len() - 1) as u32
-                })
+                }
+                *slot
             } else {
                 self.row_inputs.push(i);
-                self.private_rows += 1;
-                (self.row_inputs.len() - 1) as u32
+                next
             };
             if record {
                 synapses.push((slot, w));
             }
         }
-        if !sharing {
-            // Without sharing, row_of is unused; private_rows already
-            // advanced inside the loop via push.
-            self.private_rows = self.row_inputs.len() as u32;
-        }
         self.synapses += inputs.len() as u32;
-        self.columns.push(TileColumnDetail {
-            output,
-            chunk,
-            synapses,
-        });
+        self.cols += 1;
+        if record {
+            self.columns.push(TileColumnDetail {
+                output,
+                chunk,
+                synapses,
+            });
+        }
     }
 
+    /// Closes the open tile and leaves `self` empty for the next one.
     fn close(
-        self,
+        &mut self,
         layer: usize,
         chunk_phase: u32,
         record: bool,
     ) -> (Tile, Vec<u32>, Option<TileDetail>) {
+        for &i in &self.row_inputs {
+            self.slot_of[i as usize] = NO_ROW;
+        }
+        let row_inputs = std::mem::take(&mut self.row_inputs);
         let tile = Tile {
             layer,
             chunk: chunk_phase,
-            rows: self.row_inputs.len() as u32,
-            cols: self.columns.len() as u32,
-            synapses: self.synapses,
+            rows: row_inputs.len() as u32,
+            cols: std::mem::take(&mut self.cols),
+            synapses: std::mem::take(&mut self.synapses),
         };
         let detail = record.then(|| TileDetail {
-            row_inputs: self.row_inputs.clone(),
-            columns: self.columns,
+            row_inputs: row_inputs.clone(),
+            columns: std::mem::take(&mut self.columns),
         });
-        (tile, self.row_inputs, detail)
+        (tile, row_inputs, detail)
     }
 }
 
-/// Partitions one layer's connectivity matrix into tiles.
+/// Partitions one layer of a topology: dense layers are grid-tiled
+/// directly from their shape, conv/pool layers go through their
+/// connectivity matrix and [`partition_layer`]. Both routes yield the
+/// same [`LayerPartition`] for a dense layer.
+///
+/// # Panics
+///
+/// Panics if `options.mca_size` is zero.
+pub fn partition_spec(
+    spec: &LayerSpec,
+    layer: usize,
+    options: &PartitionOptions,
+) -> LayerPartition {
+    match *spec {
+        LayerSpec::Dense { inputs, outputs } => partition_dense(inputs, outputs, layer, options),
+        _ => partition_layer(&ConnectivityMatrix::from_layer(spec), layer, options),
+    }
+}
+
+/// Grid tiling of a fully connected `inputs × outputs` layer, equal to
+/// [`partition_layer`] on its connectivity matrix without building it.
+/// Every output's fan-in chunk `k` is the row window
+/// `k·n..min((k+1)·n, inputs)`, so the chunk-major sweep packs outputs in
+/// id order into column groups: `n` columns per tile with input sharing,
+/// and without it as many columns as fit their private copies of the
+/// window into `n` rows.
+fn partition_dense(
+    inputs: usize,
+    outputs: usize,
+    layer: usize,
+    options: &PartitionOptions,
+) -> LayerPartition {
+    let n = options.mca_size;
+    assert!(n > 0, "MCA size must be non-zero");
+    let sharing = options.input_sharing;
+    let record = options.record_details;
+
+    let mut tiles = Vec::new();
+    let mut tile_rows: Vec<Vec<u32>> = Vec::new();
+    let mut details: Vec<TileDetail> = Vec::new();
+    for (k, start) in (0..inputs).step_by(n).enumerate() {
+        let len = n.min(inputs - start);
+        let window: Vec<u32> = (start as u32..(start + len) as u32).collect();
+        let per_tile = if sharing { n } else { n / len };
+        for first in (0..outputs).step_by(per_tile) {
+            let cols = per_tile.min(outputs - first);
+            let rows = if sharing {
+                window.clone()
+            } else {
+                window.repeat(cols)
+            };
+            tiles.push(Tile {
+                layer,
+                chunk: k as u32,
+                rows: rows.len() as u32,
+                cols: cols as u32,
+                synapses: (cols * len) as u32,
+            });
+            if record {
+                let columns = (0..cols)
+                    .map(|c| {
+                        let o = first + c;
+                        let base = if sharing { 0 } else { c * len };
+                        TileColumnDetail {
+                            output: o as u32,
+                            chunk: k as u32,
+                            synapses: (0..len)
+                                .map(|j| ((base + j) as u32, (o * inputs + start + j) as u32))
+                                .collect(),
+                        }
+                    })
+                    .collect();
+                details.push(TileDetail {
+                    row_inputs: rows.clone(),
+                    columns,
+                });
+            }
+            tile_rows.push(rows);
+        }
+    }
+
+    // Every output has the same multiplexing degree; an empty matrix has
+    // density 0, which the general path classes as sparse.
+    let degree = inputs.div_ceil(n).max(1) as u32;
+    LayerPartition {
+        layer,
+        tiles,
+        tile_rows,
+        details: record.then_some(details),
+        max_degree: if outputs == 0 { 0 } else { degree },
+        mean_degree: if outputs == 0 { 0.0 } else { f64::from(degree) },
+        inputs: inputs as u32,
+        outputs: outputs as u32,
+        total_synapses: (inputs * outputs) as u64,
+        sparse: inputs == 0 || outputs == 0,
+    }
+}
+
+/// Partitions one layer's connectivity matrix into tiles: the general
+/// path, which conv/pool layers take through [`partition_spec`].
 ///
 /// # Panics
 ///
@@ -315,8 +431,8 @@ pub fn partition_layer(
     // Chunk-major sweep: phase k packs the k-th fan-in chunk of every
     // output that has one. Dense layers degenerate to grid tiling because
     // chunk k of every output covers the identical row window.
+    let mut open = OpenTile::new(conn.inputs());
     for k in 0..max_degree as usize {
-        let mut open = OpenTile::new();
         for &o in &order {
             let o = o as usize;
             let ins = conn.inputs_of(o);
@@ -330,13 +446,9 @@ pub fn partition_layer(
             let chunk_wids = &wids[start..end];
 
             let fits_rows = open.rows_after(chunk_inputs, options.input_sharing) <= n as u32;
-            let fits_cols = (open.columns.len() as u32) < n as u32;
+            let fits_cols = open.cols < n as u32;
             if !(open.is_empty() || (fits_rows && fits_cols)) {
-                let (tile, rows, detail) = std::mem::replace(&mut open, OpenTile::new()).close(
-                    layer,
-                    k as u32,
-                    options.record_details,
-                );
+                let (tile, rows, detail) = open.close(layer, k as u32, options.record_details);
                 tiles.push(tile);
                 tile_rows.push(rows);
                 if let Some(d) = detail {
@@ -399,7 +511,7 @@ pub fn partition_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resparc_neuro::topology::{ChannelTable, LayerSpec, Padding, Shape};
+    use resparc_neuro::topology::{ChannelTable, Padding, Shape};
 
     fn conn(spec: &LayerSpec) -> ConnectivityMatrix {
         ConnectivityMatrix::from_layer(spec)

@@ -31,22 +31,38 @@ proptest! {
     }
 
     /// Partitioning covers every synapse exactly once and never overflows
-    /// a tile, for arbitrary dense layer shapes and MCA sizes.
+    /// a tile, for arbitrary dense layer shapes (zero-width included) and
+    /// MCA sizes, and the direct dense grid tiler the mapper uses equals
+    /// the general connectivity-matrix path under every option set.
     #[test]
     fn partition_covers_dense_layers(
-        inputs in 1usize..300,
-        outputs in 1usize..300,
-        mca in prop_oneof![Just(16usize), Just(32), Just(64), Just(128)],
+        inputs in 0usize..600,
+        outputs in 0usize..600,
+        mca in prop_oneof![
+            Just(8usize), Just(16), Just(24), Just(32), Just(64), Just(100), Just(128)
+        ],
+        input_sharing in any::<bool>(),
+        record_details in any::<bool>(),
     ) {
-        let conn = ConnectivityMatrix::from_layer(&LayerSpec::Dense { inputs, outputs });
-        let part = resparc_core::map::partition::partition_layer(
-            &conn,
-            0,
-            &resparc_core::map::PartitionOptions::new(mca),
+        use resparc_suite::resparc_core::map::partition::{partition_layer, partition_spec};
+
+        let spec = LayerSpec::Dense { inputs, outputs };
+        let opts = PartitionOptions {
+            mca_size: mca,
+            input_sharing,
+            record_details,
+        };
+        let part = partition_layer(&ConnectivityMatrix::from_layer(&spec), 3, &opts);
+        let direct = partition_spec(&spec, 3, &opts);
+        prop_assert!(
+            direct == part,
+            "dense tiler differs from the general path: {inputs}x{outputs}, {opts:?}"
         );
+        prop_assert_eq!(direct.mean_degree.to_bits(), part.mean_degree.to_bits());
         prop_assert_eq!(part.total_synapses, (inputs * outputs) as u64);
         prop_assert!(part.tiles.iter().all(|t| t.rows as usize <= mca && t.cols as usize <= mca));
-        prop_assert_eq!(part.max_degree as usize, inputs.div_ceil(mca));
+        let degree = if outputs == 0 { 0 } else { inputs.div_ceil(mca).max(1) };
+        prop_assert_eq!(part.max_degree as usize, degree);
     }
 
     /// Quantization error is bounded by half a step at every precision.

@@ -53,7 +53,7 @@
 //! Every request's life cycle is recorded as a [`ServiceRecord`]
 //! (submission, admission, interruptions and departure rounds), so
 //! queue-wait, recovery and utilization statistics fall out of the log
-//! — `resparc_workloads::sweep::churn_sweep` builds the
+//! — `resparc_workloads::churn::churn_sweep` builds the
 //! dynamic-vs-static comparison on top.
 //!
 //! [`PackingPolicy`]: crate::fabric::PackingPolicy

@@ -5,10 +5,13 @@
 //! tenant set for a whole replay batch — PR 4's static realisation of
 //! RESPARC's reconfigurability. [`churn_sweep`] measures the dynamic
 //! half: requests **arrive over rounds**, are admitted by a
-//! [`FabricScheduler`] when the pool's [`PackingPolicy`] finds capacity
+//! [`FabricScheduler`](resparc_core::fabric::FabricScheduler) when the
+//! pool's [`PackingPolicy`] finds capacity
 //! (first-fit, best-fit, or defragmenting compaction), queue FIFO
 //! otherwise, and **depart** when their service completes — freeing
 //! NeuroCells for the next arrival while other tenants keep replaying.
+//! The dynamic half runs the [serving loop](crate::serving) on its round
+//! clock: each request is its own service class with an infinite SLO.
 //!
 //! The baseline runs the *same* requests, traces and per-event charges
 //! the static way: tenants are packed into co-resident batches in
@@ -21,15 +24,16 @@
 
 use rayon::prelude::*;
 use resparc_core::fabric::{
-    pool_leakage_power, AdmitError, FabricPool, FabricScheduler, PackingPolicy,
-    SharedEventSimulator, TenantId,
+    pool_leakage_power, AdmitError, FabricPool, PackingPolicy, SharedEventSimulator, TenantId,
 };
-use resparc_core::map::{Mapper, Mapping};
+use resparc_core::map::Mapping;
 use resparc_core::ResparcConfig;
 use resparc_energy::units::{Energy, Time};
 use resparc_neuro::network::{Network, SnnRunner};
 use resparc_neuro::trace::SpikeTrace;
 
+use crate::fault::FaultEvent;
+use crate::serving::{map_probes, serve, Discipline, Served, ServiceClass};
 use crate::sweep::{accuracy_fraction, SweepConfig, TenancyMetrics};
 
 /// One request in a churn schedule, paired index-wise with the network
@@ -101,7 +105,8 @@ pub struct ChurnReport {
     /// (identical under both disciplines: scheduling shares the fabric,
     /// not the spikes).
     pub per_tenant_accuracy: Vec<f64>,
-    /// The dynamically scheduled discipline ([`FabricScheduler`]).
+    /// The dynamically scheduled discipline
+    /// ([`FabricScheduler`](resparc_core::fabric::FabricScheduler)).
     pub churned: ChurnMetrics,
     /// The static baseline: co-resident batches in arrival order, each
     /// provisioned until its longest member departs.
@@ -147,7 +152,8 @@ impl ChurnReport {
 /// is encoded once under `cfg` with seed
 /// [`SweepConfig::sample_seed`]`(j)`, so functional results are
 /// identical in both disciplines *and* across requests presenting the
-/// same sample. The dynamic discipline drives a [`FabricScheduler`]
+/// same sample. The dynamic discipline drives a
+/// [`FabricScheduler`](resparc_core::fabric::FabricScheduler)
 /// over the pool (admit when `policy` finds capacity — including
 /// defragmentation for [`PackingPolicy::Defragment`] — queue FIFO
 /// otherwise, evict on departure) and replays each round through
@@ -180,139 +186,24 @@ pub fn churn_sweep(
     pool_config: &ResparcConfig,
     policy: PackingPolicy,
 ) -> Result<ChurnReport, AdmitError> {
-    assert_eq!(nets.len(), specs.len(), "one ChurnSpec per network");
-    assert!(!nets.is_empty(), "need at least one request");
-    assert!(!samples.is_empty(), "need at least one sample");
-    assert!(
-        specs.iter().all(|s| s.service_rounds > 0 && s.weight > 0),
-        "service rounds and weights must be positive"
-    );
-
-    let mapper = Mapper::new(pool_config.clone());
-    let probes: Vec<Mapping> = nets
-        .iter()
-        .map(|n| mapper.map_network(n))
-        .collect::<Result<_, _>>()
-        .map_err(AdmitError::Map)?;
-    for probe in &probes {
-        let needed = probe.placement.ncs_used.max(1);
-        if needed > pool_config.physical_ncs {
-            return Err(AdmitError::CapacityExhausted {
-                needed_ncs: needed,
-                free_ncs: pool_config.physical_ncs,
-                largest_free_run: pool_config.physical_ncs,
-            });
-        }
-    }
-
-    // --- Functional runs: every *distinct* (request, sample)
-    // presentation traced once. A request whose service outlasts the
-    // sample set wraps (round r presents sample r % samples.len()),
-    // and the run is deterministic per (network, sample, seed), so
-    // wrapped rounds replay the identical trace rather than
-    // re-simulating it; `traces[i][r % samples.len()]` is the round-r
-    // trace in both disciplines.
-    let readout = cfg.readout();
-    let jobs: Vec<(usize, usize)> = (0..nets.len())
-        .flat_map(|i| (0..specs[i].service_rounds.min(samples.len())).map(move |j| (i, j)))
-        .collect();
-    let runs: Vec<(usize, SpikeTrace)> = jobs
-        .par_iter()
-        .map(|&(i, j)| {
-            let raster = cfg.encode_sample(j, &samples[j].0);
-            let mut runner = SnnRunner::from_compiled(nets[i].compiled().clone());
-            let (outcome, trace) = runner.run_traced(&raster);
-            (outcome.decode(readout), trace)
-        })
-        .collect();
-    let mut traces: Vec<Vec<SpikeTrace>> = (0..nets.len()).map(|_| Vec::new()).collect();
-    let mut per_tenant_correct = vec![0usize; nets.len()];
-    for (&(i, j), (predicted, trace)) in jobs.iter().zip(runs) {
-        if predicted == samples[j].1 {
-            // Sample j is presented on every service round that wraps
-            // onto it.
-            per_tenant_correct[i] += specs[i].service_rounds / samples.len()
-                + usize::from(j < specs[i].service_rounds % samples.len());
-        }
-        traces[i].push(trace);
-    }
-    let per_tenant_accuracy: Vec<f64> = per_tenant_correct
-        .iter()
-        .zip(specs)
-        .map(|(&c, s)| accuracy_fraction(c, s.service_rounds))
-        .collect();
-
+    let (served, (probes, traces, per_tenant_accuracy, order)) =
+        run_schedule(nets, specs, samples, cfg, pool_config, policy, &[])?;
     let pool_leak = pool_leakage_power(pool_config);
-    // Submission order: arrival round, ties in input order.
-    let mut order: Vec<usize> = (0..nets.len()).collect();
-    order.sort_by_key(|&i| specs[i].arrival_round);
 
-    // --- Dynamic discipline: FabricScheduler-driven churn.
-    let mut sched = FabricScheduler::new(FabricPool::new(pool_config.clone()).with_policy(policy));
-    let mut request_net: Vec<usize> = Vec::with_capacity(nets.len());
-    let mut next_submit = 0usize;
-    let mut dyn_energy = Energy::ZERO;
-    let mut dyn_latency_ns = 0.0f64;
-    let mut dyn_busy = 0usize;
-    let mut dyn_util = 0.0f64;
-    let mut dyn_inferences = 0usize;
-    while next_submit < order.len() || !sched.is_idle() {
-        let round = sched.round();
-        while next_submit < order.len() && specs[order[next_submit]].arrival_round <= round {
-            let i = order[next_submit];
-            // The up-front footprint validation already mapped every
-            // network; submit the cached probe instead of partitioning
-            // a second time.
-            let request = sched.submit_mapped(
-                probes[i].clone(),
-                &format!("tenant{i}"),
-                specs[i].service_rounds,
-                specs[i].weight,
-            );
-            debug_assert_eq!(request.index() as usize, request_net.len());
-            request_net.push(i);
-            next_submit += 1;
-        }
-        let residents = sched.begin_round();
-        if !residents.is_empty() {
-            let pairs: Vec<(TenantId, &SpikeTrace)> = residents
-                .iter()
-                .map(|st| {
-                    let i = request_net[st.request.index() as usize];
-                    (st.tenant, &traces[i][st.rounds_served % samples.len()])
-                })
-                .collect();
-            let weights: Vec<u32> = residents.iter().map(|st| st.weight).collect();
-            let report = SharedEventSimulator::new(sched.pool()).run_weighted(&pairs, &weights);
-            dyn_energy += report
-                .tenants
-                .iter()
-                .map(|t| t.energy.total())
-                .sum::<Energy>();
-            dyn_latency_ns += report.latency.nanoseconds();
-            let active_ncs: usize = residents
-                .iter()
-                .filter_map(|st| sched.pool().tenant(st.tenant))
-                .map(|t| t.nc_count())
-                .sum();
-            dyn_util += active_ncs as f64 / pool_config.physical_ncs as f64;
-            dyn_busy += 1;
-            dyn_inferences += residents.len();
-        }
-        sched.end_round();
-    }
-    let dyn_latency = Time::from_nanos(dyn_latency_ns);
-    let dyn_waits: Vec<usize> = sched.completed().iter().map(|r| r.wait_rounds()).collect();
+    // --- Dynamic discipline: the service loop's rounds and records.
+    let dyn_latency = Time::from_nanos(served.busy_ns);
+    let records = served.sched.completed();
+    let dyn_waits: Vec<usize> = records.iter().map(|r| r.wait_rounds()).collect();
     let churned = ChurnMetrics {
         tenancy: TenancyMetrics {
-            dynamic_energy: dyn_energy,
-            pool_energy: dyn_energy + pool_leak * dyn_latency,
+            dynamic_energy: served.dynamic_energy,
+            pool_energy: served.dynamic_energy + pool_leak * dyn_latency,
             latency: dyn_latency,
-            inferences: dyn_inferences,
+            inferences: records.iter().map(|r| r.rounds_served).sum(),
         },
-        rounds: sched.round(),
-        busy_rounds: dyn_busy,
-        mean_active_utilization: dyn_util / dyn_busy.max(1) as f64,
+        rounds: served.sched.round(),
+        busy_rounds: served.shares.len(),
+        mean_active_utilization: served.mean_share(|_| true),
         mean_queue_wait: dyn_waits.iter().sum::<usize>() as f64 / dyn_waits.len().max(1) as f64,
         max_queue_wait: dyn_waits.iter().copied().max().unwrap_or(0),
     };
@@ -430,6 +321,94 @@ pub fn churn_sweep(
         churned,
         static_baseline,
     })
+}
+
+/// Per-request probes, traces and accuracy of a churn schedule, and its
+/// submission order (arrival round, ties in input order). Request `i`
+/// replays `traces[i][r % traces[i].len()]` on its service round `r`.
+type Traced = (Vec<Mapping>, Vec<Vec<SpikeTrace>>, Vec<f64>, Vec<usize>);
+
+/// Validates a churn schedule, maps every request, traces each distinct
+/// (request, sample) presentation once, and serves the schedule on the
+/// round clock of the [serving loop](crate::serving) with `faults`
+/// striking mid-stream. Request `i` is its own service class `tenant{i}`
+/// with an infinite SLO.
+pub(crate) fn run_schedule(
+    nets: &[Network],
+    specs: &[ChurnSpec],
+    samples: &[(Vec<f32>, usize)],
+    cfg: &SweepConfig,
+    pool_config: &ResparcConfig,
+    policy: PackingPolicy,
+    faults: &[FaultEvent],
+) -> Result<(Served, Traced), AdmitError> {
+    assert_eq!(nets.len(), specs.len(), "one ChurnSpec per network");
+    assert!(!nets.is_empty(), "need at least one request");
+    assert!(!samples.is_empty(), "need at least one sample");
+    assert!(
+        specs.iter().all(|s| s.service_rounds > 0 && s.weight > 0),
+        "service rounds and weights must be positive"
+    );
+    let probes = map_probes(nets, pool_config)?;
+
+    // A request whose service outlasts the sample set wraps (round r
+    // presents sample r % samples.len()), and the run is deterministic
+    // per (network, sample, seed), so wrapped rounds replay the
+    // identical trace rather than re-simulating it.
+    let readout = cfg.readout();
+    let jobs: Vec<(usize, usize)> = (0..nets.len())
+        .flat_map(|i| (0..specs[i].service_rounds.min(samples.len())).map(move |j| (i, j)))
+        .collect();
+    let runs: Vec<(usize, SpikeTrace)> = jobs
+        .par_iter()
+        .map(|&(i, j)| {
+            let raster = cfg.encode_sample(j, &samples[j].0);
+            let mut runner = SnnRunner::from_compiled(nets[i].compiled().clone());
+            let (outcome, trace) = runner.run_traced(&raster);
+            (outcome.decode(readout), trace)
+        })
+        .collect();
+    let mut traces: Vec<Vec<SpikeTrace>> = (0..nets.len()).map(|_| Vec::new()).collect();
+    let mut per_tenant_correct = vec![0usize; nets.len()];
+    for (&(i, j), (predicted, trace)) in jobs.iter().zip(runs) {
+        if predicted == samples[j].1 {
+            // Sample j is presented on every service round that wraps
+            // onto it.
+            per_tenant_correct[i] += specs[i].service_rounds / samples.len()
+                + usize::from(j < specs[i].service_rounds % samples.len());
+        }
+        traces[i].push(trace);
+    }
+    let per_tenant_accuracy: Vec<f64> = per_tenant_correct
+        .iter()
+        .zip(specs)
+        .map(|(&c, s)| accuracy_fraction(c, s.service_rounds))
+        .collect();
+
+    let classes: Vec<ServiceClass> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            ServiceClass::new(&format!("tenant{i}"), s.service_rounds, f64::INFINITY)
+                .with_weight(s.weight)
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..specs.len()).collect();
+    order.sort_by_key(|&i| specs[i].arrival_round);
+    let arrivals: Vec<(f64, usize)> = order
+        .iter()
+        .map(|&i| (specs[i].arrival_round as f64, i))
+        .collect();
+    let served = serve(
+        pool_config,
+        policy,
+        &probes,
+        &classes,
+        &arrivals,
+        |k, r| &traces[order[k]][r % traces[order[k]].len()],
+        Discipline::Rounds(faults),
+    );
+    Ok((served, (probes, traces, per_tenant_accuracy, order)))
 }
 
 #[cfg(test)]

@@ -17,30 +17,28 @@
 //!   single-spike code and rate coding's redundancy degrade very
 //!   differently under the same silicon damage.
 //! * [`fault_recovery_drill`] injects **NeuroCell failures mid-replay**
-//!   into a dynamically scheduled fabric ([`FaultEvent`]):
-//!   the scheduler's recovery path
-//!   ([`FabricScheduler::fail_nc`]) evicts the victim, re-queues it at
-//!   the head, and re-admits it wherever healthy capacity remains. The
-//!   [`FaultDrillReport`] measures what resilience costs — voided
-//!   replays, recovery rounds, utilization before/after the failures —
-//!   and what it saves: interrupted requests still complete.
+//!   into a dynamically scheduled fabric ([`FaultEvent`]), running the
+//!   [serving loop](crate::serving) on its round clock: the scheduler's
+//!   recovery path ([`FabricScheduler::fail_nc`]) evicts the victim,
+//!   re-queues it at the head, and re-admits it wherever healthy
+//!   capacity remains. The [`FaultDrillReport`] measures what
+//!   resilience costs — voided replays, recovery rounds, utilization
+//!   before/after the failures — and what it saves: interrupted
+//!   requests still complete.
+//!
+//! [`FabricScheduler::fail_nc`]: resparc_core::fabric::FabricScheduler::fail_nc
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-use resparc_core::fabric::{
-    AdmitError, FabricPool, FabricScheduler, PackingPolicy, ServiceRecord, SharedEventSimulator,
-    TenantId,
-};
-use resparc_core::map::{Mapper, Mapping};
+use resparc_core::fabric::{AdmitError, PackingPolicy, ServiceRecord};
+use resparc_core::map::Mapping;
 use resparc_core::ResparcConfig;
 use resparc_device::fault::FaultPlan;
 use resparc_energy::units::{Energy, Time};
 use resparc_neuro::encoding::Encoding;
-use resparc_neuro::network::{Network, SnnRunner};
-use resparc_neuro::trace::SpikeTrace;
+use resparc_neuro::network::Network;
 
-use crate::churn::ChurnSpec;
+use crate::churn::{run_schedule, ChurnSpec};
 use crate::sweep::{trace_energy_sweep_compiled, SweepConfig, TraceEnergyReport};
 
 /// One `(fault plan, encoding)` cell of a [`fault_sweep`].
@@ -158,8 +156,9 @@ pub struct FaultDrillReport {
 }
 
 /// Replays an arrival/departure schedule (the dynamic half of
-/// [`churn_sweep`](crate::churn::churn_sweep)) while permanently
-/// failing NeuroCells mid-stream, and measures the recovery.
+/// [`churn_sweep`](crate::churn::churn_sweep), on the round clock of the
+/// [serving loop](crate::serving)) while permanently failing NeuroCells
+/// mid-stream, and measures the recovery.
 ///
 /// Request `i` (network `nets[i]`, schedule `specs[i]`) presents sample
 /// `r % samples.len()` on its `r`-th *credited* service round. Each
@@ -169,7 +168,8 @@ pub struct FaultDrillReport {
 /// in [`FaultDrillReport::lost_replays`]), re-queued at the head, and
 /// re-admitted on the next round with healthy room. Requests wider than
 /// the largest surviving healthy segment are retired as aborted.
-/// Events scheduled after the drill drains never fire.
+/// Events scheduled after the drill drains never fire. With no faults
+/// the drill reports exactly the dynamic half of `churn_sweep`.
 ///
 /// # Errors
 ///
@@ -183,6 +183,8 @@ pub struct FaultDrillReport {
 /// empty, any `service_rounds`/`weight` is zero, an event names a
 /// NeuroCell outside the pool, or a stimulus length differs from a
 /// network's input count.
+///
+/// [`FabricScheduler::fail_nc`]: resparc_core::fabric::FabricScheduler::fail_nc
 pub fn fault_recovery_drill(
     nets: &[Network],
     specs: &[ChurnSpec],
@@ -192,125 +194,13 @@ pub fn fault_recovery_drill(
     policy: PackingPolicy,
     faults: &[FaultEvent],
 ) -> Result<FaultDrillReport, AdmitError> {
-    assert_eq!(nets.len(), specs.len(), "one ChurnSpec per network");
-    assert!(!nets.is_empty(), "need at least one request");
-    assert!(!samples.is_empty(), "need at least one sample");
-    assert!(
-        specs.iter().all(|s| s.service_rounds > 0 && s.weight > 0),
-        "service rounds and weights must be positive"
-    );
     assert!(
         faults.iter().all(|f| f.nc < pool_config.physical_ncs),
         "fault events must name NeuroCells inside the pool"
     );
+    let (served, _) = run_schedule(nets, specs, samples, cfg, pool_config, policy, faults)?;
 
-    let mapper = Mapper::new(pool_config.clone());
-    let probes: Vec<Mapping> = nets
-        .iter()
-        .map(|n| mapper.map_network(n))
-        .collect::<Result<_, _>>()
-        .map_err(AdmitError::Map)?;
-    for probe in &probes {
-        let needed = probe.placement.ncs_used.max(1);
-        if needed > pool_config.physical_ncs {
-            return Err(AdmitError::CapacityExhausted {
-                needed_ncs: needed,
-                free_ncs: pool_config.physical_ncs,
-                largest_free_run: pool_config.physical_ncs,
-            });
-        }
-    }
-
-    // Trace every distinct (request, sample) presentation once, exactly
-    // like churn_sweep (wrapped service rounds replay the same trace).
-    let jobs: Vec<(usize, usize)> = (0..nets.len())
-        .flat_map(|i| (0..specs[i].service_rounds.min(samples.len())).map(move |j| (i, j)))
-        .collect();
-    let runs: Vec<SpikeTrace> = jobs
-        .par_iter()
-        .map(|&(i, j)| {
-            let raster = cfg.encode_sample(j, &samples[j].0);
-            let mut runner = SnnRunner::from_compiled(nets[i].compiled().clone());
-            let (_, trace) = runner.run_traced(&raster);
-            trace
-        })
-        .collect();
-    let mut traces: Vec<Vec<SpikeTrace>> = (0..nets.len()).map(|_| Vec::new()).collect();
-    for (&(i, _), trace) in jobs.iter().zip(runs) {
-        traces[i].push(trace);
-    }
-
-    let first_fault_round = faults.iter().map(|f| f.round).min();
-    let mut order: Vec<usize> = (0..nets.len()).collect();
-    order.sort_by_key(|&i| specs[i].arrival_round);
-
-    let mut sched = FabricScheduler::new(FabricPool::new(pool_config.clone()).with_policy(policy));
-    let mut request_net: Vec<usize> = Vec::with_capacity(nets.len());
-    let mut next_submit = 0usize;
-    let mut energy = Energy::ZERO;
-    let mut latency_ns = 0.0f64;
-    let mut inferences = 0usize;
-    let mut lost_replays = 0usize;
-    let mut util_before = (0.0f64, 0usize);
-    let mut util_after = (0.0f64, 0usize);
-    while next_submit < order.len() || !sched.is_idle() {
-        let round = sched.round();
-        while next_submit < order.len() && specs[order[next_submit]].arrival_round <= round {
-            let i = order[next_submit];
-            let request = sched.submit_mapped(
-                probes[i].clone(),
-                &format!("tenant{i}"),
-                specs[i].service_rounds,
-                specs[i].weight,
-            );
-            debug_assert_eq!(request.index() as usize, request_net.len());
-            request_net.push(i);
-            next_submit += 1;
-        }
-        let mut residents = sched.begin_round();
-        // Failures strike after admission, before the replay: resident
-        // victims lose this round and re-enter the queue.
-        for fault in faults.iter().filter(|f| f.round == round) {
-            if let Some(victim) = sched.fail_nc(fault.nc) {
-                let before = residents.len();
-                residents.retain(|st| st.request != victim);
-                lost_replays += before - residents.len();
-            }
-        }
-        if !residents.is_empty() {
-            let pairs: Vec<(TenantId, &SpikeTrace)> = residents
-                .iter()
-                .map(|st| {
-                    let i = request_net[st.request.index() as usize];
-                    (st.tenant, &traces[i][st.rounds_served % samples.len()])
-                })
-                .collect();
-            let weights: Vec<u32> = residents.iter().map(|st| st.weight).collect();
-            let report = SharedEventSimulator::new(sched.pool()).run_weighted(&pairs, &weights);
-            energy += report
-                .tenants
-                .iter()
-                .map(|t| t.energy.total())
-                .sum::<Energy>();
-            latency_ns += report.latency.nanoseconds();
-            inferences += residents.len();
-            let active_ncs: usize = residents
-                .iter()
-                .filter_map(|st| sched.pool().tenant(st.tenant))
-                .map(|t| t.nc_count())
-                .sum();
-            let util = active_ncs as f64 / pool_config.physical_ncs as f64;
-            let bucket = match first_fault_round {
-                Some(first) if round >= first => &mut util_after,
-                _ => &mut util_before,
-            };
-            bucket.0 += util;
-            bucket.1 += 1;
-        }
-        sched.end_round();
-    }
-
-    let records = sched.completed().to_vec();
+    let records = served.sched.completed().to_vec();
     let interrupted: Vec<&ServiceRecord> = records.iter().filter(|r| r.interruptions > 0).collect();
     let recovered: Vec<&ServiceRecord> =
         interrupted.iter().copied().filter(|r| !r.aborted).collect();
@@ -323,20 +213,25 @@ pub fn fault_recovery_drill(
             .sum::<f64>()
             / recovered.len() as f64
     };
+    // Each fault eviction voids exactly one in-flight replay and counts
+    // one interruption.
+    let total_interruptions = records.iter().map(|r| r.interruptions).sum();
+    let first_fault_round = faults.iter().map(|f| f.round).min();
+    let after_fault = |round: usize| first_fault_round.is_some_and(|first| round >= first);
     Ok(FaultDrillReport {
-        rounds: sched.round(),
+        rounds: served.sched.round(),
         completed: records.iter().filter(|r| !r.aborted).count(),
         aborted: records.iter().filter(|r| r.aborted).count(),
         interrupted_requests: interrupted.len(),
-        total_interruptions: records.iter().map(|r| r.interruptions).sum(),
+        total_interruptions,
         mean_recovery_rounds,
-        lost_replays,
-        utilization_before: util_before.0 / util_before.1.max(1) as f64,
-        utilization_after: util_after.0 / util_after.1.max(1) as f64,
-        failed_ncs: sched.pool().failed_ncs(),
-        dynamic_energy: energy,
-        latency: Time::from_nanos(latency_ns),
-        inferences,
+        lost_replays: total_interruptions,
+        utilization_before: served.mean_share(|round| !after_fault(round)),
+        utilization_after: served.mean_share(after_fault),
+        failed_ncs: served.sched.pool().failed_ncs(),
+        dynamic_energy: served.dynamic_energy,
+        latency: Time::from_nanos(served.busy_ns),
+        inferences: records.iter().map(|r| r.rounds_served).sum(),
         records,
     })
 }
@@ -345,6 +240,7 @@ pub fn fault_recovery_drill(
 mod tests {
     use super::*;
     use crate::dataset::{DatasetKind, SyntheticImages};
+    use resparc_core::map::Mapper;
     use resparc_neuro::topology::Topology;
 
     /// 2 and 5-NC networks on RESPARC-64 (footprints asserted in

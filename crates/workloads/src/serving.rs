@@ -1,15 +1,18 @@
 //! Online serving: open-loop traffic, tail latency and SLO-adaptive
 //! QoS over the dynamically scheduled fabric.
 //!
-//! [`churn_sweep`](crate::churn::churn_sweep) measures the scheduler in
-//! *round* time — requests arrive at round indices and the metric is
-//! makespan. A service is measured differently: requests arrive on a
-//! **wall clock** the service does not control (open loop — arrivals
-//! keep coming whether or not the fabric keeps up), and the figures of
-//! merit are the latency distribution (p50/p95/p99), goodput
-//! (SLO-meeting completions per second) and the SLO-violation rate.
-//! [`serving_sweep`] layers that event-clock loop on the existing round
-//! machinery:
+//! One service loop drives every dynamically scheduled workload.
+//! [`churn_sweep`](crate::churn::churn_sweep) and
+//! [`fault_recovery_drill`](crate::fault::fault_recovery_drill) run it on
+//! a *round* clock: requests arrive at round indices, an idle fabric
+//! steps through empty rounds, NeuroCell faults strike between admission
+//! and replay, and the metric is makespan. A service is measured
+//! differently: requests arrive on a **wall clock** the service does not
+//! control (open loop — arrivals keep coming whether or not the fabric
+//! keeps up), and the figures of merit are the latency distribution
+//! (p50/p95/p99), goodput (SLO-meeting completions per second) and the
+//! SLO-violation rate. [`serving_sweep`] runs the loop on that event
+//! clock:
 //!
 //! * an [`ArrivalProcess`] generates seeded, reproducible arrival
 //!   timestamps (memoryless Poisson, on/off bursts, or a diurnal rate
@@ -101,6 +104,7 @@ use resparc_energy::units::{Energy, Time};
 use resparc_neuro::network::{Network, SnnRunner};
 use resparc_neuro::trace::SpikeTrace;
 
+use crate::fault::FaultEvent;
 use crate::seed::stream_seed;
 use crate::sweep::SweepConfig;
 
@@ -512,6 +516,81 @@ fn percentile(sorted_ns: &[f64], p: f64) -> Time {
     Time::from_nanos(sorted_ns[rank.clamp(1, sorted_ns.len()) - 1])
 }
 
+/// Maps every network once against the pool's configuration and checks
+/// that each footprint fits the whole pool.
+///
+/// # Errors
+///
+/// [`AdmitError::Map`] if a network cannot be mapped and
+/// [`AdmitError::CapacityExhausted`] for the first one wider than the pool.
+pub(crate) fn map_probes(
+    nets: &[Network],
+    pool_config: &ResparcConfig,
+) -> Result<Vec<Mapping>, AdmitError> {
+    let mapper = Mapper::new(pool_config.clone());
+    let probes: Vec<Mapping> = nets
+        .iter()
+        .map(|n| mapper.map_network(n))
+        .collect::<Result<_, _>>()
+        .map_err(AdmitError::Map)?;
+    for probe in &probes {
+        let needed = probe.placement.ncs_used.max(1);
+        if needed > pool_config.physical_ncs {
+            return Err(AdmitError::CapacityExhausted {
+                needed_ncs: needed,
+                free_ncs: pool_config.physical_ncs,
+                largest_free_run: pool_config.physical_ncs,
+            });
+        }
+    }
+    Ok(probes)
+}
+
+/// How [`serve`] keeps time; the workload that calls it picks one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Discipline<'a> {
+    /// The round clock of churn and the fault drill: arrivals name
+    /// round indices, an idle fabric steps through empty rounds, and
+    /// each fault strikes in its round after admission, before the
+    /// replay. The queue is unbounded, admission strict FIFO, the pool
+    /// ungated and the weights static.
+    Rounds(&'a [FaultEvent]),
+    /// The spec's nanosecond event clock, admission control, backfill,
+    /// gating, preemption, QoS policy and replay engine. An idle fabric
+    /// jumps to the next arrival.
+    Serving(&'a ServingSpec),
+}
+
+/// What one [`serve`] run measured.
+pub(crate) struct Served {
+    /// The drained scheduler: round counter, records, pool health.
+    pub(crate) sched: FabricScheduler,
+    /// `(round, share of the pool's NCs owned by the tenants that
+    /// replayed)` of every replayed round, in order.
+    pub(crate) shares: Vec<(usize, f64)>,
+    pub(crate) outcomes: Vec<RequestOutcome>,
+    /// Per-class bus weights when the run ended.
+    pub(crate) weights: Vec<u32>,
+    pub(crate) makespan_ns: f64,
+    pub(crate) busy_ns: f64,
+    pub(crate) dynamic_energy: Energy,
+    pub(crate) occupied_leakage: Energy,
+    pub(crate) gated_idle: Energy,
+    pub(crate) ungated_idle: Energy,
+}
+
+impl Served {
+    /// Mean share over the replayed rounds `keep` selects (0 if none).
+    pub(crate) fn mean_share(&self, keep: impl Fn(usize) -> bool) -> f64 {
+        let (sum, n) = self
+            .shares
+            .iter()
+            .filter(|&&(round, _)| keep(round))
+            .fold((0.0, 0usize), |(sum, n), &(_, share)| (sum + share, n + 1));
+        sum / n.max(1) as f64
+    }
+}
+
 /// Book-keeping for one submitted (not rejected) request.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
@@ -520,6 +599,231 @@ struct InFlight {
     class: usize,
     arrival_ns: f64,
     done: bool,
+}
+
+/// The service loop every dynamic workload runs ([module docs](self)).
+/// `arrivals` lists `(instant on the discipline's clock, class)` in
+/// order; `probes` and `classes` are indexed by class, and `trace(i, r)`
+/// is the trace arrival `i` replays on its `r`-th service round.
+pub(crate) fn serve<'t>(
+    pool_config: &ResparcConfig,
+    policy: PackingPolicy,
+    probes: &[Mapping],
+    classes: &[ServiceClass],
+    arrivals: &[(f64, usize)],
+    trace: impl Fn(usize, usize) -> &'t SpikeTrace,
+    discipline: Discipline<'_>,
+) -> Served {
+    let (spec, faults) = match discipline {
+        Discipline::Rounds(faults) => (None, faults),
+        Discipline::Serving(spec) => (Some(spec), &[][..]),
+    };
+    let pool = FabricPool::new(pool_config.clone())
+        .with_policy(policy)
+        .with_idle_gating(spec.map_or(1.0, |s| s.idle_gating));
+    let mut sched = FabricScheduler::new(pool);
+    if let Some(window) = spec.map(|s| s.backfill_window).filter(|&w| w > 0) {
+        sched = sched.with_backfill(window);
+    }
+    let max_queue = spec.map_or(usize::MAX, |s| s.max_queue);
+    let engine = spec.map_or(ReplayEngine::default(), |s| s.replay_engine);
+
+    let sram_leak = SramSpec::new(pool_config.input_sram_bytes, pool_config.packet_bits)
+        .build()
+        .leakage();
+    let pool_leak = pool_leakage_power(pool_config);
+    let logic_leak = pool_leak - sram_leak;
+
+    let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; arrivals.len()];
+    // Request book-keeping, indexed by RequestId::index().
+    let mut in_flight: Vec<InFlight> = Vec::new();
+    let mut weights: Vec<u32> = classes.iter().map(|c| c.weight).collect();
+    let mut shares: Vec<(usize, f64)> = Vec::new();
+    let mut now = 0.0f64;
+    let mut last_completion = 0.0f64;
+    let mut busy_ns = 0.0f64;
+    let mut idle_gap_ns = 0.0f64;
+    let mut dynamic_energy = Energy::ZERO;
+    let mut occupied_leakage = Energy::ZERO;
+    let mut gated_idle = Energy::ZERO;
+    let mut ungated_idle = Energy::ZERO;
+    let mut next_arrival = 0usize;
+
+    while next_arrival < arrivals.len() || !sched.is_idle() {
+        // Open-loop admission: every arrival due on the discipline's
+        // clock either joins the queue or is rejected at the door.
+        let clock = spec.map_or(sched.round() as f64, |_| now);
+        while let Some(&(at, c)) = arrivals.get(next_arrival).filter(|a| a.0 <= clock) {
+            if sched.queue_len() >= max_queue {
+                outcomes[next_arrival] = Some(RequestOutcome::Rejected);
+            } else {
+                let request = sched.submit_mapped(
+                    probes[c].clone(),
+                    &classes[c].name,
+                    classes[c].service_rounds,
+                    classes[c].weight,
+                );
+                debug_assert_eq!(request.index() as usize, in_flight.len());
+                in_flight.push(InFlight {
+                    request,
+                    arrival_index: next_arrival,
+                    class: c,
+                    // A round-clock arrival arrives as its round opens.
+                    arrival_ns: spec.map_or(now, |_| at),
+                    done: false,
+                });
+            }
+            next_arrival += 1;
+        }
+        if sched.is_idle() && spec.is_some() {
+            // Nothing to run: the fabric idles (gated) until the next
+            // arrival. (The round clock steps through an empty round.)
+            let Some(&(next, _)) = arrivals.get(next_arrival) else {
+                break;
+            };
+            let gap = next - now;
+            if gap > 0.0 {
+                idle_gap_ns += gap;
+            }
+            now = next.max(now);
+            continue;
+        }
+
+        let round = sched.round();
+        let mut residents = sched.begin_round();
+        // Failures strike after admission, before the replay: resident
+        // victims lose this round and re-enter the queue.
+        for fault in faults.iter().filter(|f| f.round == round) {
+            if let Some(victim) = sched.fail_nc(fault.nc) {
+                residents.retain(|st| st.request != victim);
+            }
+        }
+        if residents.is_empty() {
+            // An idle round, or the whole queue retired as unservable.
+            sched.end_round();
+            continue;
+        }
+        let pairs: Vec<(TenantId, &SpikeTrace)> = residents
+            .iter()
+            .map(|st| {
+                let f = in_flight[st.request.index() as usize];
+                (st.tenant, trace(f.arrival_index, st.rounds_served))
+            })
+            .collect();
+        let round_weights: Vec<u32> = residents
+            .iter()
+            .map(|st| weights[in_flight[st.request.index() as usize].class])
+            .collect();
+        let report = SharedEventSimulator::with_engine(sched.pool(), engine)
+            .run_weighted(&pairs, &round_weights);
+
+        dynamic_energy += report
+            .tenants
+            .iter()
+            .map(|t| t.energy.total())
+            .sum::<Energy>();
+        occupied_leakage +=
+            report.energy.get(Category::LogicLeakage) + report.energy.get(Category::MemoryLeakage);
+        gated_idle += report.idle_leakage;
+        // The counterfactual ungated idle bill: whole-pool leakage
+        // minus what the ledger already charged the occupied domains.
+        ungated_idle += pool_leak * report.latency
+            - (report.energy.get(Category::LogicLeakage)
+                + report.energy.get(Category::MemoryLeakage));
+        let active_ncs: usize = residents
+            .iter()
+            .filter_map(|st| sched.pool().tenant(st.tenant))
+            .map(|t| t.nc_count())
+            .sum();
+        shares.push((round, active_ncs as f64 / pool_config.physical_ncs as f64));
+
+        // Completions: a request finishing its service this round
+        // completes at its own perceived latency inside the round.
+        let makespan_ns = report.latency.nanoseconds();
+        let mut violated = vec![false; classes.len()];
+        let mut clean = vec![false; classes.len()];
+        for (st, tr) in residents.iter().zip(&report.tenants) {
+            let f = &mut in_flight[st.request.index() as usize];
+            if st.rounds_served + 1 == classes[f.class].service_rounds {
+                let latency_ns = now + tr.latency.nanoseconds() - f.arrival_ns;
+                let met = latency_ns <= classes[f.class].slo_ns;
+                outcomes[f.arrival_index] = Some(RequestOutcome::Completed {
+                    latency_ns,
+                    met_slo: met,
+                });
+                f.done = true;
+                last_completion = last_completion.max(now + tr.latency.nanoseconds());
+                if met {
+                    clean[f.class] = true;
+                } else {
+                    violated[f.class] = true;
+                }
+            }
+        }
+        now += makespan_ns;
+        busy_ns += makespan_ns;
+        sched.end_round();
+
+        // Preemption: cancel whatever is over its budget, queued or
+        // resident.
+        if let Some(budget) = spec.and_then(|s| s.preempt_after) {
+            for f in in_flight.iter_mut() {
+                if !f.done
+                    && now - f.arrival_ns > budget * classes[f.class].slo_ns
+                    && sched.cancel(f.request)
+                {
+                    outcomes[f.arrival_index] = Some(RequestOutcome::Preempted);
+                    f.done = true;
+                }
+            }
+        }
+
+        // SLO feedback: adapt weights for the next round.
+        if let Some(QosPolicy::Adaptive { max_weight }) = spec.map(|s| s.qos) {
+            for c in 0..classes.len() {
+                if violated[c] {
+                    weights[c] = (weights[c].saturating_mul(2)).min(max_weight);
+                } else if clean[c] {
+                    weights[c] = weights[c].saturating_sub(1).max(classes[c].weight);
+                }
+            }
+        }
+    }
+
+    // Inter-arrival idle gaps: the logic fabric leaks at the gated
+    // rate, the shared SRAM at full rate (it holds the door open for
+    // the next packet).
+    let gap = Time::from_nanos(idle_gap_ns);
+    gated_idle += logic_leak * gap * sched.pool().idle_gating() + sram_leak * gap;
+    ungated_idle += logic_leak * gap + sram_leak * gap;
+
+    // Anything still un-outcomed retired as aborted (unservable).
+    for rec in sched.completed() {
+        let f = in_flight[rec.request.index() as usize];
+        if outcomes[f.arrival_index].is_none() {
+            debug_assert!(rec.aborted);
+            outcomes[f.arrival_index] = Some(RequestOutcome::Aborted);
+        }
+    }
+    let outcomes: Vec<RequestOutcome> = outcomes
+        .into_iter()
+        .map(|o| {
+            debug_assert!(o.is_some(), "every arrival has an outcome");
+            o.unwrap_or(RequestOutcome::Aborted)
+        })
+        .collect();
+    Served {
+        sched,
+        shares,
+        outcomes,
+        weights,
+        makespan_ns: last_completion.max(now),
+        busy_ns,
+        dynamic_energy,
+        occupied_leakage,
+        gated_idle,
+        ungated_idle,
+    }
 }
 
 /// Runs an open-loop arrival trace against a dynamically scheduled,
@@ -557,23 +861,7 @@ pub fn serving_sweep(
         classes.iter().all(|c| c.service_rounds > 0 && c.weight > 0),
         "service rounds and weights must be positive"
     );
-
-    let mapper = Mapper::new(pool_config.clone());
-    let probes: Vec<Mapping> = nets
-        .iter()
-        .map(|n| mapper.map_network(n))
-        .collect::<Result<_, _>>()
-        .map_err(AdmitError::Map)?;
-    for probe in &probes {
-        let needed = probe.placement.ncs_used.max(1);
-        if needed > pool_config.physical_ncs {
-            return Err(AdmitError::CapacityExhausted {
-                needed_ncs: needed,
-                free_ncs: pool_config.physical_ncs,
-                largest_free_run: pool_config.physical_ncs,
-            });
-        }
-    }
+    let probes = map_probes(nets, pool_config)?;
 
     // --- Traces: every distinct (class, sample) presentation traced
     // once, in parallel; service rounds wrap over the sample set.
@@ -598,195 +886,29 @@ pub fn serving_sweep(
     }
 
     // --- Arrival trace and the event-clock loop.
-    let arrivals = spec
+    let arrivals: Vec<(f64, usize)> = spec
         .arrivals
-        .arrival_times(spec.requests, spec.mean_gap_ns, spec.seed);
-    let pool = FabricPool::new(pool_config.clone())
-        .with_policy(policy)
-        .with_idle_gating(spec.idle_gating);
-    let mut sched = FabricScheduler::new(pool);
-    if spec.backfill_window > 0 {
-        sched = sched.with_backfill(spec.backfill_window);
-    }
-
-    let sram_leak = SramSpec::new(pool_config.input_sram_bytes, pool_config.packet_bits)
-        .build()
-        .leakage();
-    let pool_leak = pool_leakage_power(pool_config);
-    let logic_leak = pool_leak - sram_leak;
-
-    let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; spec.requests];
-    // Request book-keeping, indexed by RequestId::index().
-    let mut in_flight: Vec<InFlight> = Vec::new();
-    let mut weights: Vec<u32> = classes.iter().map(|c| c.weight).collect();
-    let mut now = 0.0f64;
-    let mut last_completion = 0.0f64;
-    let mut busy_ns = 0.0f64;
-    let mut idle_gap_ns = 0.0f64;
-    let mut rounds = 0usize;
-    let mut dynamic_energy = Energy::ZERO;
-    let mut occupied_leakage = Energy::ZERO;
-    let mut gated_idle = Energy::ZERO;
-    let mut ungated_idle = Energy::ZERO;
-    let mut next_arrival = 0usize;
-
-    while next_arrival < arrivals.len() || !sched.is_idle() {
-        // Open-loop admission: every arrival due by `now` either joins
-        // the queue or is rejected at the door.
-        while next_arrival < arrivals.len() && arrivals[next_arrival] <= now {
-            let c = next_arrival % classes.len();
-            if sched.queue_len() >= spec.max_queue {
-                outcomes[next_arrival] = Some(RequestOutcome::Rejected);
-            } else {
-                let request = sched.submit_mapped(
-                    probes[c].clone(),
-                    &classes[c].name,
-                    classes[c].service_rounds,
-                    classes[c].weight,
-                );
-                debug_assert_eq!(request.index() as usize, in_flight.len());
-                in_flight.push(InFlight {
-                    request,
-                    arrival_index: next_arrival,
-                    class: c,
-                    arrival_ns: arrivals[next_arrival],
-                    done: false,
-                });
-            }
-            next_arrival += 1;
-        }
-        if sched.is_idle() {
-            // Nothing to run: the fabric idles (gated) until the next
-            // arrival.
-            let gap = arrivals[next_arrival] - now;
-            if gap > 0.0 {
-                idle_gap_ns += gap;
-            }
-            now = arrivals[next_arrival].max(now);
-            continue;
-        }
-
-        let residents = sched.begin_round();
-        if residents.is_empty() {
-            // The whole queue retired as unservable this round.
-            sched.end_round();
-            continue;
-        }
-        let pairs: Vec<(TenantId, &SpikeTrace)> = residents
-            .iter()
-            .map(|st| {
-                let f = in_flight[st.request.index() as usize];
-                (
-                    st.tenant,
-                    &traces[f.class][(f.arrival_index + st.rounds_served) % spec.samples],
-                )
-            })
-            .collect();
-        let round_weights: Vec<u32> = residents
-            .iter()
-            .map(|st| weights[in_flight[st.request.index() as usize].class])
-            .collect();
-        let report = SharedEventSimulator::with_engine(sched.pool(), spec.replay_engine)
-            .run_weighted(&pairs, &round_weights);
-
-        dynamic_energy += report
-            .tenants
-            .iter()
-            .map(|t| t.energy.total())
-            .sum::<Energy>();
-        occupied_leakage +=
-            report.energy.get(Category::LogicLeakage) + report.energy.get(Category::MemoryLeakage);
-        gated_idle += report.idle_leakage;
-        // The counterfactual ungated idle bill: whole-pool leakage
-        // minus what the ledger already charged the occupied domains.
-        ungated_idle += pool_leak * report.latency
-            - (report.energy.get(Category::LogicLeakage)
-                + report.energy.get(Category::MemoryLeakage));
-
-        // Completions: a request finishing its service this round
-        // completes at its own perceived latency inside the round.
-        let makespan_ns = report.latency.nanoseconds();
-        let mut violated = vec![false; classes.len()];
-        let mut clean = vec![false; classes.len()];
-        for (st, tr) in residents.iter().zip(&report.tenants) {
-            let f = &mut in_flight[st.request.index() as usize];
-            if st.rounds_served + 1 == classes[f.class].service_rounds {
-                let latency_ns = now + tr.latency.nanoseconds() - f.arrival_ns;
-                let met = latency_ns <= classes[f.class].slo_ns;
-                outcomes[f.arrival_index] = Some(RequestOutcome::Completed {
-                    latency_ns,
-                    met_slo: met,
-                });
-                f.done = true;
-                last_completion = last_completion.max(now + tr.latency.nanoseconds());
-                if met {
-                    clean[f.class] = true;
-                } else {
-                    violated[f.class] = true;
-                }
-            }
-        }
-        now += makespan_ns;
-        busy_ns += makespan_ns;
-        rounds += 1;
-        sched.end_round();
-
-        // Preemption: cancel whatever is over its budget, queued or
-        // resident.
-        if let Some(budget) = spec.preempt_after {
-            for f in in_flight.iter_mut() {
-                if !f.done
-                    && now - f.arrival_ns > budget * classes[f.class].slo_ns
-                    && sched.cancel(f.request)
-                {
-                    outcomes[f.arrival_index] = Some(RequestOutcome::Preempted);
-                    f.done = true;
-                }
-            }
-        }
-
-        // SLO feedback: adapt weights for the next round.
-        if let QosPolicy::Adaptive { max_weight } = spec.qos {
-            for c in 0..classes.len() {
-                if violated[c] {
-                    weights[c] = (weights[c].saturating_mul(2)).min(max_weight);
-                } else if clean[c] {
-                    weights[c] = weights[c].saturating_sub(1).max(classes[c].weight);
-                }
-            }
-        }
-    }
-
-    // Inter-arrival idle gaps: the logic fabric leaks at the gated
-    // rate, the shared SRAM at full rate (it holds the door open for
-    // the next packet).
-    let gap = Time::from_nanos(idle_gap_ns);
-    gated_idle += logic_leak * gap * spec.idle_gating + sram_leak * gap;
-    ungated_idle += logic_leak * gap + sram_leak * gap;
-
-    // Anything still un-outcomed retired as aborted (unservable).
-    for rec in sched.completed() {
-        let f = in_flight[rec.request.index() as usize];
-        if outcomes[f.arrival_index].is_none() {
-            debug_assert!(rec.aborted);
-            outcomes[f.arrival_index] = Some(RequestOutcome::Aborted);
-        }
-    }
-    let outcomes: Vec<RequestOutcome> = outcomes
+        .arrival_times(spec.requests, spec.mean_gap_ns, spec.seed)
         .into_iter()
-        .map(|o| {
-            debug_assert!(o.is_some(), "every arrival has an outcome");
-            o.unwrap_or(RequestOutcome::Aborted)
-        })
+        .enumerate()
+        .map(|(i, at)| (at, i % classes.len()))
         .collect();
+    let served = serve(
+        pool_config,
+        policy,
+        &probes,
+        classes,
+        &arrivals,
+        |i, r| &traces[i % classes.len()][(i + r) % spec.samples],
+        Discipline::Serving(spec),
+    );
 
     // --- Aggregate the service-level view.
-    let makespan_ns = last_completion.max(now);
     let mut all_lat: Vec<f64> = Vec::new();
     let mut class_lat: Vec<Vec<f64>> = vec![Vec::new(); classes.len()];
     let mut class_rep: Vec<ClassReport> = classes
         .iter()
-        .zip(&weights)
+        .zip(&served.weights)
         .map(|(c, &w)| ClassReport {
             name: c.name.clone(),
             arrivals: 0,
@@ -801,7 +923,7 @@ pub fn serving_sweep(
         .collect();
     let (mut completed, mut rejected, mut preempted, mut violations, mut met) =
         (0usize, 0usize, 0usize, 0usize, 0usize);
-    for (i, outcome) in outcomes.iter().enumerate() {
+    for (i, outcome) in served.outcomes.iter().enumerate() {
         let c = i % classes.len();
         class_rep[c].arrivals += 1;
         match *outcome {
@@ -837,7 +959,14 @@ pub fn serving_sweep(
         rep.p99 = percentile(lat, 99.0);
     }
     let mean_ns = all_lat.iter().sum::<f64>() / all_lat.len().max(1) as f64;
-    let seconds = makespan_ns * 1e-9;
+    let seconds = served.makespan_ns * 1e-9;
+    let per_second = |n: usize| {
+        if seconds > 0.0 {
+            n as f64 / seconds
+        } else {
+            0.0
+        }
+    };
 
     Ok(ServingReport {
         policy,
@@ -851,25 +980,17 @@ pub fn serving_sweep(
         p95: percentile(&all_lat, 95.0),
         p99: percentile(&all_lat, 99.0),
         mean_latency: Time::from_nanos(mean_ns),
-        makespan: Time::from_nanos(makespan_ns),
-        busy_time: Time::from_nanos(busy_ns),
-        rounds,
-        goodput: if seconds > 0.0 {
-            met as f64 / seconds
-        } else {
-            0.0
-        },
-        offered_load: if seconds > 0.0 {
-            spec.requests as f64 / seconds
-        } else {
-            0.0
-        },
-        dynamic_energy,
-        occupied_leakage,
-        gated_idle_leakage: gated_idle,
-        ungated_idle_leakage: ungated_idle,
+        makespan: Time::from_nanos(served.makespan_ns),
+        busy_time: Time::from_nanos(served.busy_ns),
+        rounds: served.shares.len(),
+        goodput: per_second(met),
+        offered_load: per_second(spec.requests),
+        dynamic_energy: served.dynamic_energy,
+        occupied_leakage: served.occupied_leakage,
+        gated_idle_leakage: served.gated_idle,
+        ungated_idle_leakage: served.ungated_idle,
         classes: class_rep,
-        outcomes,
+        outcomes: served.outcomes,
     })
 }
 
@@ -978,6 +1099,27 @@ mod tests {
                 .count(),
             report.rejected
         );
+    }
+
+    #[test]
+    fn rejecting_every_arrival_ends_on_an_idle_fabric() {
+        // A zero-depth queue rejects every arrival, so the fabric never
+        // runs a round: the loop must end when no arrival is left.
+        let nets = vec![small_net(12)];
+        let classes = vec![ServiceClass::new("only", 1, 1e9)];
+        let spec = ServingSpec::new(4, 1_000.0, ArrivalProcess::Poisson, 3).with_max_queue(0);
+        let report = serving_sweep(
+            &nets,
+            &classes,
+            &spec,
+            &cfg(),
+            &ResparcConfig::resparc_64(),
+            PackingPolicy::FirstFit,
+        )
+        .unwrap();
+        assert_eq!(report.rejected, spec.requests);
+        assert_eq!(report.completed, 0);
+        assert_eq!(report.rounds, 0);
     }
 
     #[test]

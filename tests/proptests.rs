@@ -706,6 +706,68 @@ proptest! {
         prop_assert!(wrecked != *clean, "saturating stuck-at must change the kernels");
     }
 
+    /// A fault-free recovery drill is the dynamic half of a churn sweep:
+    /// on any schedule — idle rounds between arrivals included — it
+    /// reports the same rounds, inferences, dynamic energy, busy latency,
+    /// queue waits and utilization bit for bit, with nothing measured
+    /// after a fault and no replay lost.
+    #[test]
+    fn fault_free_drill_matches_churn_dynamic_half(
+        requests in proptest::collection::vec(
+            (0usize..12, 1usize..6, 1u32..5, 1usize..4), 1..7),
+        policy in prop_oneof![
+            Just(PackingPolicy::FirstFit),
+            Just(PackingPolicy::BestFit),
+            Just(PackingPolicy::Defragment),
+        ],
+        seed in 0u64..1_000,
+    ) {
+        let nets: Vec<Network> = requests
+            .iter()
+            .enumerate()
+            .map(|(k, &(_, _, _, layers))| {
+                let mut hidden = vec![576usize; layers];
+                hidden.push(10);
+                Network::random(Topology::mlp(144, &hidden), seed + k as u64, 1.0)
+            })
+            .collect();
+        let specs: Vec<ChurnSpec> = requests
+            .iter()
+            .map(|&(arrival, service, weight, _)| {
+                ChurnSpec::new(arrival, service).with_weight(weight)
+            })
+            .collect();
+        let samples = SyntheticImages::new(DatasetKind::Mnist, 12, seed).labelled_set(2, seed);
+        let cfg = SweepConfig::rate(5, 0.8, seed);
+        let pool = ResparcConfig::resparc_64();
+        let churn = churn_sweep(&nets, &specs, &samples, &cfg, &pool, policy)
+            .expect("every request fits the pool alone");
+        let drill = fault_recovery_drill(&nets, &specs, &samples, &cfg, &pool, policy, &[])
+            .expect("every request fits the pool alone");
+
+        let dynamic = &churn.churned;
+        let waits: Vec<usize> = drill.records.iter().map(|r| r.wait_rounds()).collect();
+        let mean_wait = waits.iter().sum::<usize>() as f64 / waits.len().max(1) as f64;
+        prop_assert_eq!(drill.rounds, dynamic.rounds);
+        prop_assert_eq!(drill.inferences, dynamic.tenancy.inferences);
+        prop_assert_eq!(
+            drill.dynamic_energy.picojoules().to_bits(),
+            dynamic.tenancy.dynamic_energy.picojoules().to_bits()
+        );
+        prop_assert_eq!(
+            drill.latency.nanoseconds().to_bits(),
+            dynamic.tenancy.latency.nanoseconds().to_bits()
+        );
+        prop_assert_eq!(mean_wait.to_bits(), dynamic.mean_queue_wait.to_bits());
+        prop_assert_eq!(waits.iter().copied().max().unwrap_or(0), dynamic.max_queue_wait);
+        prop_assert_eq!(
+            drill.utilization_before.to_bits(),
+            dynamic.mean_active_utilization.to_bits()
+        );
+        prop_assert_eq!(drill.utilization_after.to_bits(), 0.0f64.to_bits());
+        prop_assert_eq!(drill.lost_replays, 0);
+    }
+
     /// Open-loop serving is deterministic per seed: the identical
     /// inputs reproduce the whole [`ServingReport`] bit for bit —
     /// every latency, every energy term, every outcome — across all

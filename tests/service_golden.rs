@@ -1,0 +1,233 @@
+//! Golden digests of churn and fault-drill reports.
+//!
+//! Each digest is 64-bit FNV-1a over the bytes of a report's `{:?}`
+//! rendering. Debug prints floats shortest-round-trip, so equal bytes mean
+//! equal bits. The cases pin the round-clock service loop that
+//! `churn_sweep` and `fault_recovery_drill` run on: the `fig_tenancy`
+//! churn schedule and the `fig_resilience` drill under every packing
+//! policy, idle rounds between arrivals (with a fault striking an idle
+//! round), a request aborted because no healthy segment can hold it, and
+//! weighted requests whose service outlasts the sample set.
+//!
+//! Serving reports are left out on purpose: their arrival times go
+//! through the platform's `ln`/`sin`, so a committed float digest could
+//! differ between machines. The churn and drill cases only meet `ln`/`cos`
+//! in `Network::random`'s Box–Muller draws, which are rounded to `f32`, so
+//! a last-bit difference in the platform's math library almost never
+//! reaches them.
+
+use resparc_suite::prelude::*;
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn digest(report: &impl std::fmt::Debug) -> u64 {
+    fnv1a(format!("{report:?}").as_bytes())
+}
+
+const POLICIES: [PackingPolicy; 3] = [
+    PackingPolicy::FirstFit,
+    PackingPolicy::BestFit,
+    PackingPolicy::Defragment,
+];
+
+/// A random MLP of 1, 2, 4 or 5 NeuroCells on RESPARC-64.
+fn sized_net(ncs: usize, seed: u64) -> Network {
+    let hiddens: &[usize] = match ncs {
+        1 => &[96, 10],
+        2 => &[576, 576, 10],
+        4 => &[576, 576, 576, 10],
+        5 => &[576, 576, 576, 576, 10],
+        other => panic!("no sized net for {other} NCs"),
+    };
+    Network::random(Topology::mlp(144, hiddens), seed, 1.0)
+}
+
+fn mnist(samples: usize, seed: u64, offset: u64) -> Vec<(Vec<f32>, usize)> {
+    SyntheticImages::new(DatasetKind::Mnist, 12, seed).labelled_set(samples, offset)
+}
+
+fn check(case: &str, got: u64, want: u64) {
+    assert_eq!(got, want, "{case}: digest {got:#018x}");
+}
+
+#[test]
+fn fig_tenancy_churn_matches_golden_digests() {
+    // The `fig_tenancy` churn schedule: eight 2-NC tenants fill the
+    // pool, two depart after one round, a 4-NC request and a late 2-NC
+    // arrival are scheduled into the churn.
+    const GOLDEN: [u64; 3] = [
+        0x2391_3d70_1e18_a289,
+        0x76c3_b05e_b616_37b9,
+        0x6a46_e395_af81_b0a0,
+    ];
+    let mut nets: Vec<Network> = (0..8u64).map(|s| sized_net(2, 70 + s)).collect();
+    nets.push(sized_net(4, 80));
+    nets.push(sized_net(2, 81));
+    let mut specs: Vec<ChurnSpec> = (0..8)
+        .map(|i| ChurnSpec::new(0, if i == 0 || i == 2 { 1 } else { 5 }))
+        .collect();
+    specs.push(ChurnSpec::new(0, 3));
+    specs.push(ChurnSpec::new(2, 2));
+    let samples = mnist(3, 7, 900);
+    let cfg = SweepConfig::rate(20, 0.7, 7);
+    for (policy, want) in POLICIES.into_iter().zip(GOLDEN) {
+        let report = churn_sweep(
+            &nets,
+            &specs,
+            &samples,
+            &cfg,
+            &ResparcConfig::resparc_64(),
+            policy,
+        )
+        .unwrap();
+        check(&format!("fig_tenancy {policy:?}"), digest(&report), want);
+    }
+}
+
+#[test]
+fn fig_resilience_drill_matches_golden_digests() {
+    // The `fig_resilience` drill: four 2-NC tenants and one 5-NC tenant;
+    // NC 0 dies in round 1 and NC 10 in round 2. The report does not
+    // name its policy, and first-fit and best-fit place alike here.
+    const GOLDEN: [u64; 3] = [
+        0xeebd_d568_c505_a238,
+        0xeebd_d568_c505_a238,
+        0xe0b8_502a_b736_f319,
+    ];
+    let mut nets: Vec<Network> = (0..4u64).map(|s| sized_net(2, 50 + s)).collect();
+    nets.push(sized_net(5, 60));
+    let specs: Vec<ChurnSpec> = (0..nets.len()).map(|_| ChurnSpec::new(0, 4)).collect();
+    let faults = [FaultEvent::new(1, 0), FaultEvent::new(2, 10)];
+    let samples = mnist(4, 7, 900);
+    let cfg = SweepConfig::rate(15, 0.7, 7);
+    for (policy, want) in POLICIES.into_iter().zip(GOLDEN) {
+        let report = fault_recovery_drill(
+            &nets,
+            &specs,
+            &samples,
+            &cfg,
+            &ResparcConfig::resparc_64(),
+            policy,
+            &faults,
+        )
+        .unwrap();
+        check(&format!("fig_resilience {policy:?}"), digest(&report), want);
+    }
+}
+
+#[test]
+fn idle_rounds_and_idle_round_faults_match_golden_digests() {
+    // Request 0 departs after round 1; rounds 2-4 are idle until
+    // requests 1 and 2 arrive. NC 3 fails in idle round 3 and NC 0 in
+    // round 6, under a resident.
+    const GOLDEN: [u64; 2] = [0x0e59_53dd_17d2_8f3c, 0x9bc1_87aa_47df_84d1];
+    let nets = vec![sized_net(2, 11), sized_net(5, 12), sized_net(1, 13)];
+    let specs = vec![
+        ChurnSpec::new(0, 2),
+        ChurnSpec::new(5, 3),
+        ChurnSpec::new(6, 2).with_weight(2),
+    ];
+    let faults = [FaultEvent::new(3, 3), FaultEvent::new(6, 0)];
+    let samples = mnist(3, 5, 40);
+    let cfg = SweepConfig::rate(10, 0.7, 5);
+    let pool = ResparcConfig::resparc_64();
+    let churn = churn_sweep(
+        &nets,
+        &specs,
+        &samples,
+        &cfg,
+        &pool,
+        PackingPolicy::FirstFit,
+    )
+    .unwrap();
+    assert!(
+        churn.churned.rounds > churn.churned.busy_rounds,
+        "idle rounds"
+    );
+    check("idle churn", digest(&churn), GOLDEN[0]);
+    let drill = fault_recovery_drill(
+        &nets,
+        &specs,
+        &samples,
+        &cfg,
+        &pool,
+        PackingPolicy::FirstFit,
+        &faults,
+    )
+    .unwrap();
+    assert_eq!(drill.failed_ncs, 2);
+    assert_eq!(
+        drill.total_interruptions, 1,
+        "only the round-6 fault evicts"
+    );
+    check("idle drill", digest(&drill), GOLDEN[1]);
+}
+
+#[test]
+fn aborted_request_matches_golden_digest() {
+    // Killing NCs 4, 9 and 14 in round 0 caps healthy segments at 4
+    // cells: the 5-NC request is interrupted and then aborted.
+    const GOLDEN: u64 = 0x181e_b7b0_c870_ac39;
+    let nets = vec![sized_net(5, 1), sized_net(2, 2)];
+    let specs = vec![ChurnSpec::new(0, 3), ChurnSpec::new(0, 3)];
+    let faults = [
+        FaultEvent::new(0, 4),
+        FaultEvent::new(0, 9),
+        FaultEvent::new(0, 14),
+    ];
+    let report = fault_recovery_drill(
+        &nets,
+        &specs,
+        &mnist(6, 3, 0),
+        &SweepConfig::rate(10, 0.7, 9),
+        &ResparcConfig::resparc_64(),
+        PackingPolicy::FirstFit,
+        &faults,
+    )
+    .unwrap();
+    assert_eq!(report.aborted, 1);
+    check("abort drill", digest(&report), GOLDEN);
+}
+
+#[test]
+fn weighted_wrapping_service_matches_golden_digests() {
+    // Weights above 1 and service rounds beyond the two samples, so
+    // wrapped rounds replay the same traces.
+    const GOLDEN: [u64; 2] = [0xfd32_8650_3982_80c7, 0x37ac_d105_ce6b_7392];
+    let nets = vec![sized_net(4, 21), sized_net(2, 22), sized_net(5, 23)];
+    let specs = vec![
+        ChurnSpec::new(0, 5).with_weight(3),
+        ChurnSpec::new(1, 4).with_weight(2),
+        ChurnSpec::new(1, 3).with_weight(4),
+    ];
+    let faults = [FaultEvent::new(2, 7)];
+    let samples = mnist(2, 9, 300);
+    let cfg = SweepConfig::rate(12, 0.8, 3);
+    let pool = ResparcConfig::resparc_64();
+    let churn = churn_sweep(
+        &nets,
+        &specs,
+        &samples,
+        &cfg,
+        &pool,
+        PackingPolicy::Defragment,
+    )
+    .unwrap();
+    check("weighted churn", digest(&churn), GOLDEN[0]);
+    let drill = fault_recovery_drill(
+        &nets,
+        &specs,
+        &samples,
+        &cfg,
+        &pool,
+        PackingPolicy::BestFit,
+        &faults,
+    )
+    .unwrap();
+    check("weighted drill", digest(&drill), GOLDEN[1]);
+}

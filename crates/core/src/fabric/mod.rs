@@ -20,8 +20,8 @@
 //!   The tenant's [`Placement`](crate::map::Placement) is expressed in
 //!   pool coordinates (the origin-0 probe is translated into the
 //!   allocated run — identical to
-//!   [`Mapper::map_network_at`](crate::map::Mapper::map_network_at)
-//!   there, without re-partitioning), and admission fails with a typed
+//!   [`place_with_origin`](crate::map::place_with_origin) there, without
+//!   re-partitioning), and admission fails with a typed
 //!   [`AdmitError`] when the policy finds no run. Evicting a tenant
 //!   restores the free list exactly. Every NC also carries an
 //!   [`NcHealth`] state: [`FabricPool::fail_nc`] /
@@ -55,7 +55,7 @@
 //!   finds capacity (possibly after defragmentation), queue FIFO
 //!   otherwise, and are evicted when their service completes — so the
 //!   fabric is re-partitioned *while a workload stream is in flight*
-//!   instead of once per batch. `resparc_workloads::sweep` builds the
+//!   instead of once per batch. `resparc_workloads::churn` builds the
 //!   `churn_sweep` comparison (dynamic churn vs a static co-resident
 //!   baseline) on top.
 //!

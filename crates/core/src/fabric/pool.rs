@@ -1,12 +1,15 @@
 //! The physical NeuroCell inventory and its admission policies.
 //!
 //! A [`FabricPool`] tracks per-NC ownership of one chip. Admission maps
-//! the candidate network once at origin 0 (the *probe*), asks the
-//! configured [`PackingPolicy`] for a contiguous free run of the probe's
-//! NC footprint, and translates the probe into the chosen run — a pure
-//! coordinate shift, so the expensive partitioning runs exactly once per
-//! admission. Eviction restores the free list exactly (property-tested
-//! in `tests/proptests.rs`).
+//! the candidate network at origin 0 once per size class of the
+//! inventory (the *probes*), asks the configured [`PackingPolicy`] for a
+//! contiguous free run of each probe's NC footprint in greedy class
+//! order, and translates the first probe that gets one into its run — a
+//! pure coordinate shift, so the expensive partitioning runs exactly
+//! once per class. A
+//! homogeneous pool is the one-class case: one probe, one partitioning.
+//! Eviction restores the free list exactly (property-tested in
+//! `tests/proptests.rs`).
 //!
 //! Every NC additionally carries an [`NcHealth`] state. A *free* NC is
 //! one that is both unoccupied **and** healthy: quarantined
@@ -46,6 +49,13 @@ use crate::map::{MapError, Mapper, Mapping};
 /// A contiguous uniform-class NC run as `(start_nc, len, mca_size)`:
 /// every cell in the run shares the MCA size class `mca_size`.
 type ClassRun = (usize, usize, usize);
+
+/// A probe's NeuroCell footprint and size class. Greedy admission
+/// prefers probes in ascending order of this key: the smallest
+/// footprint first, ties to the smaller (cheaper) crossbar.
+pub(crate) fn footprint(probe: &Mapping) -> (usize, usize) {
+    (probe.placement.ncs_used.max(1), probe.config.mca_size)
+}
 
 /// Health of one physical NeuroCell.
 ///
@@ -189,18 +199,8 @@ impl FabricPool {
     /// NeuroCells, packing with [`PackingPolicy::FirstFit`] and idle
     /// NCs ungated (billed at full leakage rate).
     pub fn new(config: ResparcConfig) -> Self {
-        let slots = config.physical_ncs;
-        let mca = config.mca_size;
-        Self {
-            config,
-            policy: PackingPolicy::FirstFit,
-            occupancy: vec![None; slots],
-            health: vec![NcHealth::Healthy; slots],
-            nc_sizes: vec![mca; slots],
-            tenants: Vec::new(),
-            next_id: 0,
-            idle_gating: 1.0,
-        }
+        let nc_sizes = vec![config.mca_size; config.physical_ncs];
+        Self::with_inventory(config, nc_sizes)
     }
 
     /// Creates an empty pool over a **heterogeneous** NC inventory:
@@ -251,18 +251,26 @@ impl FabricPool {
         );
         config.physical_ncs = nc_sizes.len();
         // A uniform inventory is just a homogeneous pool of that class:
-        // anchor the base config to it so the single-class admission
-        // paths (which map against `config`) probe the right crossbar.
+        // anchor the base config to it so the class-blind paths
+        // (`can_admit`, callers mapping against `config()`) use the
+        // right crossbar.
         if nc_sizes.windows(2).all(|w| w[0] == w[1]) {
             config.mca_size = nc_sizes[0];
         }
+        Self::with_inventory(config, nc_sizes.to_vec())
+    }
+
+    /// The constructor body [`new`](Self::new) and
+    /// [`heterogeneous`](Self::heterogeneous) share: an empty,
+    /// all-healthy, first-fit, ungated pool over `nc_sizes`.
+    fn with_inventory(config: ResparcConfig, nc_sizes: Vec<usize>) -> Self {
         let slots = nc_sizes.len();
         Self {
             config,
             policy: PackingPolicy::FirstFit,
             occupancy: vec![None; slots],
             health: vec![NcHealth::Healthy; slots],
-            nc_sizes: nc_sizes.to_vec(),
+            nc_sizes,
             tenants: Vec::new(),
             next_id: 0,
             idle_gating: 1.0,
@@ -540,9 +548,10 @@ impl FabricPool {
         }
     }
 
-    /// Admits a trained network: maps it with the pool's configuration,
-    /// allocates the free NC run the pool's [`PackingPolicy`] selects
-    /// and places the mapping there in pool coordinates.
+    /// Admits a trained network: maps it once per size class, allocates
+    /// the free NC run the pool's [`PackingPolicy`] selects for the
+    /// preferred class that has room and places the mapping there in
+    /// pool coordinates.
     ///
     /// # Errors
     ///
@@ -553,13 +562,7 @@ impl FabricPool {
     /// because quarantined/failed NCs hold the capacity the request
     /// needs.
     pub fn admit(&mut self, network: &Network, name: &str) -> Result<TenantId, AdmitError> {
-        if self.is_heterogeneous() {
-            return self.admit_choosing_class(|mapper| mapper.map_network(network), name);
-        }
-        let probe = Mapper::new(self.config.clone())
-            .map_network(network)
-            .map_err(AdmitError::Map)?;
-        self.admit_mapped(probe, name)
+        self.admit_choosing_class(|mapper| mapper.map_network(network), name)
     }
 
     /// Admits a bare topology (mean |weight| 0.5 per layer, as
@@ -573,21 +576,55 @@ impl FabricPool {
         topology: &Topology,
         name: &str,
     ) -> Result<TenantId, AdmitError> {
-        if self.is_heterogeneous() {
-            return self.admit_choosing_class(|mapper| mapper.map(topology), name);
-        }
-        let probe = Mapper::new(self.config.clone())
-            .map(topology)
-            .map_err(AdmitError::Map)?;
-        self.admit_mapped(probe, name)
+        self.admit_choosing_class(|mapper| mapper.map(topology), name)
     }
 
-    /// The greedy class-choice admission heterogeneous [`admit`] /
-    /// [`admit_topology`] share: map the candidate once per size class
-    /// present in the inventory, then try classes in ascending
-    /// `(nc_footprint, mca_size)` order — the smallest footprint wins,
-    /// ties to the smaller (cheaper) crossbar. This is the *greedy
-    /// oracle* an optimizing placer is measured against.
+    /// The candidate mapped at origin 0 once per size class of the
+    /// inventory, in greedy preference order (see [`footprint`]): the
+    /// preferred probe, then the other classes' probes. Classes that
+    /// fail to map are skipped. Pool admission, [`PlacementRequest`] and
+    /// [`FabricScheduler::submit`] all probe through here, so they agree
+    /// on which class a network prefers. A zero-NC pool has no class and
+    /// maps against its base configuration, which fails validation.
+    ///
+    /// # Errors
+    ///
+    /// The last class's [`MapError`] when no class maps the candidate.
+    ///
+    /// [`PlacementRequest`]: crate::map::PlacementRequest
+    /// [`FabricScheduler::submit`]: crate::fabric::FabricScheduler::submit
+    pub(crate) fn class_probes<F>(&self, probe_for: F) -> Result<(Mapping, Vec<Mapping>), MapError>
+    where
+        F: Fn(&Mapper) -> Result<Mapping, MapError>,
+    {
+        let mut classes = self.size_classes().into_iter();
+        let first = classes.next().unwrap_or(self.config.mca_size);
+        let probe = |size| probe_for(&Mapper::new(self.class_config(size)));
+        // The smallest-key probe is kept apart; the rest sort once at the
+        // end.
+        let mut probes = probe(first).map(|p| (p, Vec::new()));
+        for size in classes {
+            probes = match (probes, probe(size)) {
+                (Ok((mut preferred, mut others)), Ok(mut p)) => {
+                    if footprint(&p) < footprint(&preferred) {
+                        std::mem::swap(&mut p, &mut preferred);
+                    }
+                    others.push(p);
+                    Ok((preferred, others))
+                }
+                (Ok(probes), Err(_)) => Ok(probes),
+                (Err(_), next) => next.map(|p| (p, Vec::new())),
+            };
+        }
+        let (preferred, mut others) = probes?;
+        others.sort_by_key(footprint);
+        Ok((preferred, others))
+    }
+
+    /// The greedy class choice [`admit`] and [`admit_topology`] share,
+    /// and the *greedy oracle* an optimizing placer is measured against:
+    /// admit the first [`class_probes`](Self::class_probes) probe whose
+    /// class has room.
     ///
     /// [`admit`]: Self::admit
     /// [`admit_topology`]: Self::admit_topology
@@ -595,35 +632,18 @@ impl FabricPool {
     where
         F: Fn(&Mapper) -> Result<Mapping, MapError>,
     {
-        let mut probes: Vec<Mapping> = Vec::new();
-        let mut last_map_err: Option<MapError> = None;
-        for size in self.size_classes() {
-            match probe_for(&Mapper::new(self.class_config(size))) {
-                Ok(probe) => probes.push(probe),
-                Err(e) => last_map_err = Some(e),
-            }
+        let (preferred, others) = self.class_probes(probe_for).map_err(AdmitError::Map)?;
+        let (needed, class) = footprint(&preferred);
+        let fit = std::iter::once(preferred).chain(others).find(|p| {
+            let (needed, class) = footprint(p);
+            self.can_admit_sized(needed, class)
+        });
+        match fit {
+            Some(probe) => self.admit_mapped(probe, name),
+            // No class fits: report the rejection for the preferred
+            // class (the one greedy admission would have chosen).
+            None => Err(self.capacity_error(needed, class)),
         }
-        probes.sort_by_key(|p| (p.placement.ncs_used.max(1), p.config.mca_size));
-        let Some(first) = probes.first() else {
-            // Every class failed to map; surface the last mapping error
-            // (the inventory is never empty, so at least one class was
-            // tried).
-            return match last_map_err {
-                Some(e) => Err(AdmitError::Map(e)),
-                None => Err(self.capacity_error(1, self.config.mca_size)),
-            };
-        };
-        let fallback = (first.placement.ncs_used.max(1), first.config.mca_size);
-        for i in 0..probes.len() {
-            let needed = probes[i].placement.ncs_used.max(1);
-            let size = probes[i].config.mca_size;
-            if self.can_admit_sized(needed, size) {
-                return self.admit_mapped(probes.swap_remove(i), name);
-            }
-        }
-        // No class fits: report the rejection for the best-footprint
-        // class (the one greedy admission would have preferred).
-        Err(self.capacity_error(fallback.0, fallback.1))
     }
 
     /// Admits an already-mapped probe (any origin; it is re-anchored
@@ -652,8 +672,7 @@ impl FabricPool {
         // run is a pure coordinate shift (identical to re-placing there —
         // property-tested), so the expensive partitioning runs exactly
         // once per admission.
-        let needed = probe.placement.ncs_used.max(1);
-        let class = probe.config.mca_size;
+        let (needed, class) = footprint(&probe);
         let origin = match self.find_run(needed, class) {
             Some(origin) => origin,
             None if self.policy == PackingPolicy::Defragment
@@ -1460,6 +1479,30 @@ mod tests {
         let tw = pool.tenant(w).unwrap();
         assert_eq!((tw.first_nc(), tw.end_nc()), (2, 6));
         assert_eq!(pool.tenant(s).unwrap().first_nc(), 6, "never moved");
+    }
+
+    #[test]
+    fn zero_nc_pools_report_the_config_error() {
+        use crate::fabric::FabricScheduler;
+        use crate::map::PlacementRequest;
+        // `ResparcConfig::validate` rejects a chip without NeuroCells.
+        // Such a pool has no size class, so every caller of
+        // `class_probes` maps against the base configuration and reports
+        // its validation error.
+        let mut cfg = ResparcConfig::resparc_64();
+        cfg.physical_ncs = 0;
+        let mut pool = FabricPool::new(cfg);
+        let invalid = MapError::InvalidConfig("need at least one physical NeuroCell".into());
+        let t = Topology::mlp(96, &[64, 10]);
+        let rejected = Err(AdmitError::Map(invalid.clone()));
+        assert_eq!(pool.admit(&small_net(1), "a"), rejected);
+        assert_eq!(pool.admit_topology(&t, "t"), rejected);
+        let request = PlacementRequest::from_topology(&pool, &t, "t");
+        assert_eq!(request.err(), Some(invalid.clone()));
+        let request = PlacementRequest::from_network(&pool, &small_net(1), "n");
+        assert_eq!(request.err(), Some(invalid.clone()));
+        let mut sched = FabricScheduler::new(pool);
+        assert_eq!(sched.submit(&small_net(1), "s", 1, 1), Err(invalid));
     }
 
     #[test]

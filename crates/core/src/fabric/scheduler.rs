@@ -8,12 +8,15 @@
 //! round = one interleaved shared replay of the currently-resident
 //! tenants):
 //!
-//! * [`submit`](FabricScheduler::submit) maps a request once (the probe
-//!   is cached, never re-partitioned) and appends it to a FIFO queue;
+//! * [`submit`](FabricScheduler::submit) maps a request once per size
+//!   class, as the pool's own admission does, and appends it with its
+//!   probes to a FIFO queue (cached, never re-partitioned);
 //! * [`begin_round`](FabricScheduler::begin_round) admits from the
-//!   queue head while the pool's [`PackingPolicy`] finds capacity —
-//!   including room a [`PackingPolicy::Defragment`] compaction can
-//!   create — and returns the round's residents with their
+//!   queue head while the pool's [`PackingPolicy`] finds capacity in
+//!   one of the request's classes (the first with room, in the greedy
+//!   order [`FabricPool::admit`] uses) — including room a
+//!   [`PackingPolicy::Defragment`] compaction can create — and
+//!   returns the round's residents with their
 //!   bus-arbitration weights (by default head-of-line blocking keeps
 //!   admission strictly FIFO: no request starves behind a later,
 //!   smaller one);
@@ -40,15 +43,16 @@
 //! [`drain_nc`](FabricScheduler::drain_nc) forward to the pool's health
 //! transitions, and when the sick cell evicts a resident tenant the
 //! scheduler re-queues that request at the **head** of the queue (its
-//! cached probe is reused — no re-partitioning) so the next
+//! cached probes are reused — no re-partitioning) so the next
 //! [`begin_round`](FabricScheduler::begin_round) re-admits it wherever
 //! healthy capacity remains. The interrupted round is voided (the
 //! victim earns no service credit for it); the rounds between
 //! interruption and re-admission are counted as
-//! [`ServiceRecord::recovery_rounds`]. A queued request wider than the
-//! pool's largest healthy segment can never be admitted again —
-//! `begin_round` retires it with [`ServiceRecord::aborted`] set instead
-//! of letting it block the queue forever.
+//! [`ServiceRecord::recovery_rounds`]. A queued request wider, in every
+//! class it was mapped for, than that class's largest healthy segment
+//! can never be admitted again — `begin_round` retires it with
+//! [`ServiceRecord::aborted`] set instead of letting it block the queue
+//! forever.
 //!
 //! Every request's life cycle is recorded as a [`ServiceRecord`]
 //! (submission, admission, interruptions and departure rounds), so
@@ -64,6 +68,7 @@ use std::fmt;
 
 use resparc_neuro::network::Network;
 
+use crate::fabric::pool::footprint;
 use crate::fabric::{FabricPool, TenantId};
 use crate::map::{MapError, Mapping};
 
@@ -149,7 +154,8 @@ pub struct ServiceRecord {
     pub request: RequestId,
     /// The request's label.
     pub name: String,
-    /// NeuroCells the request's mapping occupies while resident.
+    /// NeuroCells the request's mapping occupies while resident (for a
+    /// request never admitted, its preferred class's footprint).
     pub ncs: usize,
     /// Bus-arbitration weight.
     pub weight: u32,
@@ -184,38 +190,38 @@ impl ServiceRecord {
     }
 }
 
-/// A queued request: the probe mapping is computed once at submission
-/// (a fault-evicted request re-enters the queue with its service
-/// progress and interruption history carried along).
+/// One submitted request as the scheduler drives it: its life-cycle
+/// record, filled in as it moves, plus what the record does not show.
+/// The queue holds it alone, and the active set holds it with its pool
+/// tenant id. A fault-evicted request re-enters the queue with its
+/// progress, its interruption history and the mapping it ran with back
+/// among its probes.
+///
+/// A queued request with no interruptions has never been admitted: only
+/// a fault eviction sends an admitted request back to the queue. Until
+/// its first admission, `record.admitted_round` is a placeholder and
+/// `record.ncs` is the footprint of its preferred probe.
 #[derive(Debug, Clone)]
-struct Pending {
-    request: RequestId,
-    name: String,
-    probe: Mapping,
+struct Request {
+    record: ServiceRecord,
+    /// Rounds of service the request asked for.
     service_rounds: usize,
-    weight: u32,
-    submitted_round: usize,
-    rounds_served: usize,
-    interruptions: usize,
-    recovery_rounds: usize,
-    first_admitted_round: Option<usize>,
+    /// Round of the latest fault eviction (the recovery clock's start).
     interrupted_round: usize,
+    /// Probes mapped once at submission, one per size class, in greedy
+    /// preference order (see [`footprint`]). While the request is
+    /// resident, the probes of the classes it does not occupy.
+    probes: Vec<Mapping>,
 }
 
-/// A resident request.
-#[derive(Debug, Clone)]
-struct Active {
-    request: RequestId,
-    tenant: TenantId,
-    name: String,
-    ncs: usize,
-    weight: u32,
-    submitted_round: usize,
-    admitted_round: usize,
-    service_rounds: usize,
-    rounds_served: usize,
-    interruptions: usize,
-    recovery_rounds: usize,
+/// Where a queued request stands against the pool's current state.
+enum Fit {
+    /// The probe at this index can be admitted now.
+    Now(usize),
+    /// Some class could serve the request, but none has room now.
+    Later,
+    /// No class has a healthy segment wide enough: it can never run.
+    Never,
 }
 
 /// Drives dynamic admission/eviction of a [`FabricPool`] across replay
@@ -225,8 +231,8 @@ pub struct FabricScheduler {
     pool: FabricPool,
     round: usize,
     next_request: u32,
-    queue: VecDeque<Pending>,
-    active: Vec<Active>,
+    queue: VecDeque<Request>,
+    active: Vec<(Request, TenantId)>,
     completed: Vec<ServiceRecord>,
     /// `Some(window)` enables backfilling behind a blocked head for at
     /// most `window` rounds; `None` is the strict-FIFO PR-5 behaviour.
@@ -312,13 +318,15 @@ impl FabricScheduler {
 
     /// Request ids waiting for capacity, head first.
     pub fn queued_requests(&self) -> impl Iterator<Item = RequestId> + '_ {
-        self.queue.iter().map(|p| p.request)
+        self.queue.iter().map(|r| r.record.request)
     }
 
     /// Resident requests with their pool residency handles, in
     /// admission order.
     pub fn active_requests(&self) -> impl Iterator<Item = (RequestId, TenantId)> + '_ {
-        self.active.iter().map(|a| (a.request, a.tenant))
+        self.active
+            .iter()
+            .map(|(r, tenant)| (r.record.request, *tenant))
     }
 
     /// Validates the scheduler's cross-structure invariants: every
@@ -331,22 +339,21 @@ impl FabricScheduler {
     ///
     /// The first [`ScheduleError`] violation found, if any.
     pub fn check_consistency(&self) -> Result<(), ScheduleError> {
-        for a in &self.active {
-            match self.pool.tenant(a.tenant) {
-                Some(t) if t.nc_count() == a.ncs => {}
+        for (r, tenant) in &self.active {
+            match self.pool.tenant(*tenant) {
+                Some(t) if t.nc_count() == r.record.ncs => {}
                 _ => {
                     return Err(ScheduleError::TenantNotResident {
-                        request: a.request,
-                        tenant: a.tenant,
+                        request: r.record.request,
+                        tenant: *tenant,
                     })
                 }
             }
         }
         let mut seen = std::collections::BTreeSet::new();
-        let queued = self.queue.iter().map(|p| p.request);
-        let active = self.active.iter().map(|a| a.request);
         let completed = self.completed.iter().map(|r| r.request);
-        for request in queued.chain(active).chain(completed) {
+        let active = self.active_requests().map(|(request, _)| request);
+        for request in self.queued_requests().chain(active).chain(completed) {
             if !seen.insert(request) {
                 return Err(ScheduleError::DuplicateRequest { request });
             }
@@ -354,16 +361,19 @@ impl FabricScheduler {
         Ok(())
     }
 
-    /// Submits a request: the network is mapped once against the pool's
-    /// configuration and queued FIFO for `service_rounds` replay rounds
+    /// Submits a request: the network is mapped once per size class of
+    /// the pool, exactly as [`FabricPool::admit`] probes it, and queued
+    /// FIFO with every class's probe for `service_rounds` replay rounds
     /// at bus-arbitration weight `weight`. Admission happens in
-    /// [`begin_round`](Self::begin_round); a request submitted before a
-    /// round begins can be admitted into that same round (wait 0).
+    /// [`begin_round`](Self::begin_round), into the first class in
+    /// greedy order (smallest NC footprint, ties to the smaller
+    /// crossbar) that has room; a request submitted before a round
+    /// begins can be admitted into that same round (wait 0).
     ///
     /// # Errors
     ///
-    /// [`MapError`] if the network cannot be mapped at all. A network
-    /// too large for the whole pool maps fine but is retired as
+    /// [`MapError`] if no size class can map the network. A network
+    /// too large for every class of the pool maps fine but is retired as
     /// [aborted](ServiceRecord::aborted) at the next
     /// [`begin_round`](Self::begin_round); size requests with
     /// [`FabricPool::physical_ncs`] in mind.
@@ -378,15 +388,18 @@ impl FabricScheduler {
         service_rounds: usize,
         weight: u32,
     ) -> Result<RequestId, MapError> {
-        let probe = crate::map::Mapper::new(self.pool.config().clone()).map_network(network)?;
-        Ok(self.submit_mapped(probe, name, service_rounds, weight))
+        let (preferred, others) = self
+            .pool
+            .class_probes(|mapper| mapper.map_network(network))?;
+        Ok(self.enqueue(preferred, others, name, service_rounds, weight))
     }
 
     /// Submits an already-mapped probe (produced against the pool's
-    /// configuration) — the queueing core [`submit`](Self::submit)
-    /// delegates to. Callers that already sized a request (e.g.
-    /// `resparc_workloads::churn_sweep` validating footprints up front)
-    /// use this to avoid partitioning the same network twice.
+    /// [`class_config`](FabricPool::class_config) for its size class);
+    /// the request is admitted in that class only. Callers that already
+    /// sized a request (e.g. `resparc_workloads::churn_sweep` validating
+    /// footprints up front) use this to avoid partitioning the same
+    /// network twice.
     ///
     /// # Panics
     ///
@@ -398,6 +411,20 @@ impl FabricScheduler {
         service_rounds: usize,
         weight: u32,
     ) -> RequestId {
+        self.enqueue(probe, Vec::new(), name, service_rounds, weight)
+    }
+
+    /// The queueing core [`submit`](Self::submit) and
+    /// [`submit_mapped`](Self::submit_mapped) share: `preferred` and
+    /// `others` are the request's probes in greedy class order.
+    fn enqueue(
+        &mut self,
+        preferred: Mapping,
+        others: Vec<Mapping>,
+        name: &str,
+        service_rounds: usize,
+        weight: u32,
+    ) -> RequestId {
         assert!(
             service_rounds > 0,
             "a request must serve at least one round"
@@ -405,18 +432,24 @@ impl FabricScheduler {
         assert!(weight > 0, "arbitration weights must be positive");
         let request = RequestId(self.next_request);
         self.next_request += 1;
-        self.queue.push_back(Pending {
+        let record = ServiceRecord {
             request,
             name: name.to_string(),
-            probe,
-            service_rounds,
+            ncs: footprint(&preferred).0,
             weight,
             submitted_round: self.round,
+            admitted_round: self.round,
+            departed_round: None,
             rounds_served: 0,
             interruptions: 0,
             recovery_rounds: 0,
-            first_admitted_round: None,
+            aborted: false,
+        };
+        self.queue.push_back(Request {
+            record,
+            service_rounds,
             interrupted_round: 0,
+            probes: std::iter::once(preferred).chain(others).collect(),
         });
         request
     }
@@ -452,35 +485,30 @@ impl FabricScheduler {
     }
 
     /// Moves a fault-evicted tenant back to the queue head, carrying its
-    /// service progress. Non-scheduled tenants (admitted directly on the
+    /// service progress; its mapping rejoins its other classes' probes
+    /// in greedy order. Non-scheduled tenants (admitted directly on the
     /// pool before scheduling started) have no request to recover.
     fn requeue_interrupted(&mut self, evicted: Option<crate::fabric::Tenant>) -> Option<RequestId> {
         let evicted = evicted?;
-        let at = self.active.iter().position(|a| a.tenant == evicted.id)?;
-        let a = self.active.remove(at);
-        self.queue.push_front(Pending {
-            request: a.request,
-            name: a.name,
-            probe: evicted.mapping,
-            service_rounds: a.service_rounds,
-            weight: a.weight,
-            submitted_round: a.submitted_round,
-            rounds_served: a.rounds_served,
-            interruptions: a.interruptions + 1,
-            recovery_rounds: a.recovery_rounds,
-            first_admitted_round: Some(a.admitted_round),
-            interrupted_round: self.round,
-        });
-        Some(a.request)
+        let at = self.active.iter().position(|(_, t)| *t == evicted.id)?;
+        let (mut request, _) = self.active.remove(at);
+        request.record.interruptions += 1;
+        request.interrupted_round = self.round;
+        request.probes.push(evicted.mapping);
+        request.probes.sort_by_key(footprint);
+        let id = request.record.request;
+        self.queue.push_front(request);
+        Some(id)
     }
 
     /// Opens the next round: admits queued requests from the head while
-    /// the pool's policy finds capacity (stopping at the first that
-    /// does not fit — strict FIFO), then returns every resident tenant
-    /// the caller should replay this round, in admission order.
+    /// the pool's policy finds capacity in one of the request's classes
+    /// (stopping at the first that does not fit — strict FIFO), then
+    /// returns every resident tenant the caller should replay this
+    /// round, in admission order.
     ///
-    /// A head request wider than the pool's largest **healthy** segment
-    /// of its own size class
+    /// A head request wider, in every class it was mapped for, than
+    /// the pool's largest **healthy** segment of that class
     /// ([`FabricPool::max_admissible_run_for`] — on a heterogeneous
     /// pool a long healthy run of the *wrong* class is not servable
     /// capacity) can never be admitted, not even by compaction on an
@@ -491,19 +519,16 @@ impl FabricScheduler {
     /// [`ScheduledTenant::rounds_served`] presentation.
     pub fn begin_round(&mut self) -> Vec<ScheduledTenant> {
         while let Some(head) = self.queue.front() {
-            let needed = head.probe.placement.ncs_used.max(1);
-            let class = head.probe.config.mca_size;
-            let servable = needed <= self.pool.max_admissible_run_for(class);
-            if servable && !self.pool.can_admit_sized(needed, class) {
+            let fit = self.fit(head);
+            if matches!(fit, Fit::Later) {
                 break;
             }
             let Some(head) = self.queue.pop_front() else {
                 break;
             };
-            if servable {
-                self.admit_pending(head);
-            } else {
-                self.retire_aborted(head);
+            match fit {
+                Fit::Now(probe) => self.admit(head, probe),
+                Fit::Later | Fit::Never => self.retire(head, None),
             }
         }
         // The head (if any) is now blocked on capacity. Track how long
@@ -512,7 +537,7 @@ impl FabricScheduler {
         match self.queue.front() {
             None => self.blocked_head = None,
             Some(head) => {
-                let request = head.request;
+                let request = head.record.request;
                 let since = match self.blocked_head {
                     Some((req, since)) if req == request => since,
                     _ => self.round,
@@ -526,13 +551,9 @@ impl FabricScheduler {
                     // place and records retire in FIFO order.
                     let mut i = 1;
                     while i < self.queue.len() {
-                        let needed = self.queue[i].probe.placement.ncs_used.max(1);
-                        let class = self.queue[i].probe.config.mca_size;
-                        if needed <= self.pool.max_admissible_run_for(class)
-                            && self.pool.can_admit_sized(needed, class)
-                        {
+                        if let Fit::Now(probe) = self.fit(&self.queue[i]) {
                             match self.queue.remove(i) {
-                                Some(p) => self.admit_pending(p),
+                                Some(request) => self.admit(request, probe),
                                 None => break,
                             }
                         } else {
@@ -544,80 +565,80 @@ impl FabricScheduler {
         }
         self.active
             .iter()
-            .map(|a| ScheduledTenant {
-                request: a.request,
-                tenant: a.tenant,
-                name: a.name.clone(),
-                weight: a.weight,
-                rounds_served: a.rounds_served,
+            .map(|(r, tenant)| ScheduledTenant {
+                request: r.record.request,
+                tenant: *tenant,
+                name: r.record.name.clone(),
+                weight: r.record.weight,
+                rounds_served: r.record.rounds_served,
             })
             .collect()
     }
 
-    /// Admits one pending request into the pool (capacity was probed by
-    /// the caller) and activates it for this round. Should the pool
-    /// refuse despite the probe — a probe/allocator disagreement that
-    /// would be a bug — the request is retired as aborted rather than
-    /// panicking or silently dropping it (the request-conservation
-    /// invariant the `resparc-analysis` model checker asserts).
-    fn admit_pending(&mut self, head: Pending) {
-        let needed = head.probe.placement.ncs_used.max(1);
-        let recovery = if head.interruptions > 0 {
-            self.round - head.interrupted_round
-        } else {
-            0
-        };
-        let tenant = match self.pool.admit_mapped(head.probe, &head.name) {
-            Ok(tenant) => tenant,
-            Err(_) => {
-                debug_assert!(false, "can_admit probed this admission");
-                self.completed.push(ServiceRecord {
-                    request: head.request,
-                    name: head.name,
-                    ncs: needed,
-                    weight: head.weight,
-                    submitted_round: head.submitted_round,
-                    admitted_round: head.first_admitted_round.unwrap_or(self.round),
-                    departed_round: Some(self.round),
-                    rounds_served: head.rounds_served,
-                    interruptions: head.interruptions,
-                    recovery_rounds: head.recovery_rounds,
-                    aborted: true,
-                });
-                return;
+    /// The first of `request`'s probes the pool can admit now, in
+    /// greedy class order, or whether any class could ever serve it.
+    fn fit(&self, request: &Request) -> Fit {
+        let mut fit = Fit::Never;
+        for (i, probe) in request.probes.iter().enumerate() {
+            let (needed, class) = footprint(probe);
+            if needed <= self.pool.max_admissible_run_for(class) {
+                if self.pool.can_admit_sized(needed, class) {
+                    return Fit::Now(i);
+                }
+                fit = Fit::Later;
             }
-        };
-        self.active.push(Active {
-            request: head.request,
-            tenant,
-            name: head.name,
-            ncs: needed,
-            weight: head.weight,
-            submitted_round: head.submitted_round,
-            admitted_round: head.first_admitted_round.unwrap_or(self.round),
-            service_rounds: head.service_rounds,
-            rounds_served: head.rounds_served,
-            interruptions: head.interruptions,
-            recovery_rounds: head.recovery_rounds + recovery,
-        });
+        }
+        fit
     }
 
-    /// Retires a queued request as [aborted](ServiceRecord::aborted) in
-    /// the current round.
-    fn retire_aborted(&mut self, p: Pending) {
-        self.completed.push(ServiceRecord {
-            request: p.request,
-            name: p.name,
-            ncs: p.probe.placement.ncs_used.max(1),
-            weight: p.weight,
-            submitted_round: p.submitted_round,
-            admitted_round: p.first_admitted_round.unwrap_or(self.round),
-            departed_round: Some(self.round),
-            rounds_served: p.rounds_served,
-            interruptions: p.interruptions,
-            recovery_rounds: p.recovery_rounds,
-            aborted: true,
-        });
+    /// Admits one queued request into the pool with its probe at index
+    /// `probe` (capacity was probed by the caller) and activates it for
+    /// this round. Should the pool refuse despite the probe — a
+    /// probe/allocator disagreement that would be a bug — the request is
+    /// retired as aborted rather than panicking or silently dropping it
+    /// (the request-conservation invariant the `resparc-analysis` model
+    /// checker asserts).
+    fn admit(&mut self, mut request: Request, probe: usize) {
+        let probe = request.probes.remove(probe);
+        let (ncs, _) = footprint(&probe);
+        match self.pool.admit_mapped(probe, &request.record.name) {
+            Ok(tenant) => {
+                request.record.ncs = ncs;
+                if request.record.interruptions == 0 {
+                    request.record.admitted_round = self.round;
+                } else {
+                    request.record.recovery_rounds += self.round - request.interrupted_round;
+                }
+                self.active.push((request, tenant));
+            }
+            Err(_) => {
+                debug_assert!(false, "can_admit probed this admission");
+                self.retire(request, None);
+            }
+        }
+    }
+
+    /// Every departure, logged in the current round: completion,
+    /// cancellation (active or queued), abort of an unservable head and
+    /// allocator refusal. A resident request (`tenant` set) is evicted
+    /// from the pool; a queued one that never ran records this round as
+    /// its admission. A request retires complete only once it has served
+    /// every round it asked for — any earlier departure is an abort.
+    fn retire(&mut self, mut request: Request, tenant: Option<TenantId>) {
+        match tenant {
+            Some(tenant) => {
+                let evicted = self.pool.evict(tenant);
+                debug_assert!(evicted.is_some(), "active tenant was resident");
+            }
+            None if request.record.interruptions == 0 => {
+                request.record.admitted_round = self.round;
+            }
+            None => {}
+        }
+        let record = &mut request.record;
+        record.departed_round = Some(self.round);
+        record.aborted = record.rounds_served < request.service_rounds;
+        self.completed.push(request.record);
     }
 
     /// Cancels a request wherever it currently is — the preemption hook
@@ -630,32 +651,20 @@ impl FabricScheduler {
     /// keeping whatever service it already earned. Returns `false` if
     /// no such request is queued or active (e.g. it already departed).
     pub fn cancel(&mut self, request: RequestId) -> bool {
-        if let Some(at) = self.active.iter().position(|a| a.request == request) {
-            let a = self.active.remove(at);
-            let evicted = self.pool.evict(a.tenant);
-            debug_assert!(evicted.is_some(), "active tenant was resident");
-            self.completed.push(ServiceRecord {
-                request: a.request,
-                name: a.name,
-                ncs: a.ncs,
-                weight: a.weight,
-                submitted_round: a.submitted_round,
-                admitted_round: a.admitted_round,
-                departed_round: Some(self.round),
-                rounds_served: a.rounds_served,
-                interruptions: a.interruptions,
-                recovery_rounds: a.recovery_rounds,
-                aborted: true,
-            });
+        let active = self.active_requests().position(|(r, _)| r == request);
+        if let Some(at) = active {
+            let (r, tenant) = self.active.remove(at);
+            self.retire(r, Some(tenant));
             return true;
         }
-        if let Some(at) = self.queue.iter().position(|p| p.request == request) {
-            if let Some(p) = self.queue.remove(at) {
-                self.retire_aborted(p);
-                return true;
+        let queued = self.queued_requests().position(|r| r == request);
+        match queued.and_then(|at| self.queue.remove(at)) {
+            Some(r) => {
+                self.retire(r, None);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Closes the round: every resident retires one service round,
@@ -663,27 +672,13 @@ impl FabricScheduler {
     /// free for the next round's admissions) and logged, and the round
     /// counter advances.
     pub fn end_round(&mut self) {
-        let round = self.round;
         let mut i = 0;
         while i < self.active.len() {
-            self.active[i].rounds_served += 1;
-            if self.active[i].rounds_served == self.active[i].service_rounds {
-                let done = self.active.remove(i);
-                let evicted = self.pool.evict(done.tenant);
-                debug_assert!(evicted.is_some(), "active tenant was resident");
-                self.completed.push(ServiceRecord {
-                    request: done.request,
-                    name: done.name,
-                    ncs: done.ncs,
-                    weight: done.weight,
-                    submitted_round: done.submitted_round,
-                    admitted_round: done.admitted_round,
-                    departed_round: Some(round),
-                    rounds_served: done.rounds_served,
-                    interruptions: done.interruptions,
-                    recovery_rounds: done.recovery_rounds,
-                    aborted: false,
-                });
+            let request = &mut self.active[i].0;
+            request.record.rounds_served += 1;
+            if request.record.rounds_served == request.service_rounds {
+                let (done, tenant) = self.active.remove(i);
+                self.retire(done, Some(tenant));
             } else {
                 i += 1;
             }
@@ -1150,6 +1145,118 @@ mod tests {
         assert!(rec.aborted);
         sched.end_round();
         assert!(sched.is_idle());
+    }
+
+    #[test]
+    fn submit_queues_the_class_a_mixed_pool_can_serve() {
+        // The inventory has no cell of the base class (64). `submit`
+        // must queue the class `FabricPool::admit` prefers, the 32-class
+        // pair, so the request runs in round 0 instead of aborting.
+        let pool = FabricPool::heterogeneous(ResparcConfig::resparc_64(), &[32, 32, 128, 128]);
+        let network = Network::random(Topology::mlp(96, &[64, 10]), 7, 1.0);
+        let mut direct = pool.clone();
+        let id = direct.admit(&network, "direct").unwrap();
+        assert_eq!(direct.tenant(id).unwrap().mapping.config.mca_size, 32);
+
+        let mut sched = FabricScheduler::new(pool);
+        let request = sched.submit(&network, "queued", 1, 1).unwrap();
+        let round0 = sched.begin_round();
+        assert_eq!(round0.len(), 1, "admitted in round 0");
+        assert_eq!(round0[0].request, request);
+        let tenant = sched.pool().tenant(round0[0].tenant).unwrap();
+        assert_eq!(tenant.mapping.config.mca_size, 32);
+        assert!(sched.completed().is_empty(), "nothing aborted");
+        sched.end_round();
+        assert!(!sched.completed()[0].aborted);
+    }
+
+    /// One 32-class cell beside three 64-class cells.
+    fn one_small_cell_pool() -> FabricPool {
+        FabricPool::heterogeneous(ResparcConfig::resparc_64(), &[32, 64, 64, 64])
+    }
+
+    /// 1 NC in either class of [`one_small_cell_pool`]; the footprint
+    /// tie prefers class 32.
+    fn tiny(seed: u64) -> Network {
+        Network::random(Topology::mlp(96, &[64, 10]), seed, 1.0)
+    }
+
+    fn class_of(sched: &FabricScheduler, t: &ScheduledTenant) -> usize {
+        sched
+            .pool()
+            .tenant(t.tenant)
+            .unwrap()
+            .mapping
+            .config
+            .mca_size
+    }
+
+    #[test]
+    fn submit_runs_in_another_class_when_the_preferred_one_is_dead() {
+        // The 32-class cell is dead before the request arrives: it must
+        // run at class 64 in round 0, as `FabricPool::admit` places it.
+        let mut sched = FabricScheduler::new(one_small_cell_pool());
+        assert_eq!(sched.fail_nc(0), None);
+        let r = sched.submit(&tiny(1), "r", 1, 1).unwrap();
+        let round0 = sched.begin_round();
+        assert_eq!(round0.len(), 1, "admitted in round 0");
+        assert_eq!(round0[0].request, r);
+        assert_eq!(class_of(&sched, &round0[0]), 64);
+        assert!(sched.completed().is_empty(), "nothing aborted");
+    }
+
+    #[test]
+    fn queued_requests_fall_through_to_a_class_with_room() {
+        // The 32-class cell is taken: the second request runs beside the
+        // first at class 64. When that cell then fails, its tenant
+        // resumes at class 64 instead of aborting.
+        let mut sched = FabricScheduler::new(one_small_cell_pool());
+        let a = sched.submit(&tiny(1), "a", 2, 1).unwrap();
+        let b = sched.submit(&tiny(2), "b", 2, 1).unwrap();
+        let round0 = sched.begin_round();
+        let classes: Vec<usize> = round0.iter().map(|t| class_of(&sched, t)).collect();
+        assert_eq!(classes, vec![32, 64]);
+        assert_eq!(sched.fail_nc(0), Some(a));
+        sched.end_round();
+        let round1 = sched.begin_round();
+        assert_eq!(round1.len(), 2, "a recovered beside b");
+        let ra = round1.iter().find(|t| t.request == a).unwrap();
+        assert_eq!(class_of(&sched, ra), 64);
+        assert_eq!(sched.check_consistency(), Ok(()));
+        while !sched.is_idle() {
+            sched.begin_round();
+            sched.end_round();
+        }
+        assert!(sched.completed().iter().all(|r| !r.aborted));
+        assert!(sched.completed().iter().any(|r| r.request == b));
+    }
+
+    #[test]
+    fn fallback_class_admission_records_its_footprint() {
+        // The request needs 1 NC at class 64 and more at class 32. With
+        // the lone 64-class cell taken it falls through to class 32, and
+        // its record must carry the footprint it actually occupies.
+        let pool = FabricPool::heterogeneous(ResparcConfig::resparc_64(), &[32, 32, 32, 32, 64]);
+        let network = net(3, &[576, 10]);
+        let mut sched = FabricScheduler::new(pool);
+        let first = sched.submit(&network, "first", 2, 1).unwrap();
+        let second = sched.submit(&network, "second", 1, 1).unwrap();
+        assert_eq!(sched.begin_round().len(), 2);
+        assert_eq!(sched.check_consistency(), Ok(()));
+        let ncs: Vec<usize> = sched
+            .active_requests()
+            .map(|(_, t)| sched.pool().tenant(t).unwrap().nc_count())
+            .collect();
+        assert_eq!(ncs[0], 1, "first takes the 64-class cell");
+        assert!(ncs[1] > 1, "second spans several 32-class cells");
+        sched.end_round();
+        let rec = sched
+            .completed()
+            .iter()
+            .find(|r| r.request == second)
+            .unwrap();
+        assert_eq!(rec.ncs, ncs[1]);
+        assert!(sched.active_requests().any(|(r, _)| r == first));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! layer's connectivity matrix is partitioned into crossbar tiles
 //! ([`partition`]), tiles are placed onto mPEs and NeuroCells
 //! ([`placement`]), and the result is summarised in a [`Mapping`] the
-//! simulator and the report generators consume.
+//! simulator and the report generators consume. Every mapping is placed
+//! at NeuroCell origin 0; a [`FabricPool`](crate::fabric::FabricPool)
+//! moves it into pool coordinates with [`Placement::translated_to`].
 //!
 //! The mapper is *technology-aware* (paper abstract): it can rank
 //! candidate MCA sizes by mapped energy via
@@ -31,18 +33,6 @@ pub use placement::{place, place_with_origin, LayerSpan, Placement};
 pub enum MapError {
     /// The configuration failed validation.
     InvalidConfig(String),
-    /// A pool-coordinate mapping (non-zero NC origin) would run past the
-    /// physical fabric. Origin-0 mappings may overflow — the simulators
-    /// time-multiplex them — but an offset placement models *this* chip,
-    /// so NCs beyond `physical_ncs` do not exist to place on.
-    OriginOutOfBounds {
-        /// Requested NeuroCell origin.
-        origin_nc: usize,
-        /// One past the last NC the placement would occupy.
-        end_nc: usize,
-        /// Physical NeuroCells on the chip.
-        physical_ncs: usize,
-    },
     /// The per-layer mean weight magnitudes do not match the topology.
     WeightCount {
         /// Layers in the topology.
@@ -56,15 +46,6 @@ impl std::fmt::Display for MapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MapError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            MapError::OriginOutOfBounds {
-                origin_nc,
-                end_nc,
-                physical_ncs,
-            } => write!(
-                f,
-                "placement at NC origin {origin_nc} would occupy NCs up to {end_nc}, beyond the \
-                 {physical_ncs} physical NeuroCells"
-            ),
             MapError::WeightCount { expected, got } => write!(
                 f,
                 "need one mean weight magnitude per layer: the topology has {expected} layers, \
@@ -122,21 +103,7 @@ impl Mapper {
     /// Returns [`MapError::InvalidConfig`] if the configuration fails
     /// validation.
     pub fn map(&self, topology: &Topology) -> Result<Mapping, MapError> {
-        self.map_at(topology, 0)
-    }
-
-    /// Maps a topology at a NeuroCell origin (pool coordinates) — the
-    /// entry a [`FabricPool`](crate::fabric::FabricPool) uses to place a
-    /// tenant into its allocated NC run. `map` is `map_at(.., 0)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::InvalidConfig`] if the configuration fails
-    /// validation, or [`MapError::OriginOutOfBounds`] if a non-zero
-    /// origin would place the network past the physical fabric.
-    pub fn map_at(&self, topology: &Topology, origin_nc: usize) -> Result<Mapping, MapError> {
-        let mags = vec![0.5f64; topology.layer_count()];
-        self.map_with_weights_at(topology, &mags, origin_nc)
+        self.map_with_weights(topology, &vec![0.5f64; topology.layer_count()])
     }
 
     /// Maps a trained network, deriving per-layer mean |weight|
@@ -148,19 +115,6 @@ impl Mapper {
     /// Returns [`MapError::InvalidConfig`] if the configuration fails
     /// validation.
     pub fn map_network(&self, network: &Network) -> Result<Mapping, MapError> {
-        self.map_network_at(network, 0)
-    }
-
-    /// Maps a trained network at a NeuroCell origin (pool coordinates);
-    /// see [`Mapper::map_at`]. `map_network` is `map_network_at(.., 0)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::InvalidConfig`] if the configuration fails
-    /// validation, or [`MapError::OriginOutOfBounds`] if a non-zero
-    /// origin would place the network past the physical fabric.
-    pub fn map_network_at(&self, network: &Network, origin_nc: usize) -> Result<Mapping, MapError> {
-        let topology = network.topology();
         let mags: Vec<f64> = network
             .layers()
             .iter()
@@ -176,7 +130,7 @@ impl Mapper {
                 }
             })
             .collect();
-        self.map_with_weights_at(topology, &mags, origin_nc)
+        self.map_with_weights(network.topology(), &mags)
     }
 
     /// Maps a topology with explicit per-layer mean normalized-|weight|
@@ -191,25 +145,6 @@ impl Mapper {
         &self,
         topology: &Topology,
         mean_weight_mags: &[f64],
-    ) -> Result<Mapping, MapError> {
-        self.map_with_weights_at(topology, mean_weight_mags, 0)
-    }
-
-    /// Maps a topology with explicit weight magnitudes at a NeuroCell
-    /// origin (pool coordinates); see [`Mapper::map_at`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::InvalidConfig`] if the configuration fails
-    /// validation, [`MapError::WeightCount`] if `mean_weight_mags` does
-    /// not hold one magnitude per layer, or [`MapError::OriginOutOfBounds`]
-    /// if a non-zero origin would place the network past the physical
-    /// fabric.
-    pub fn map_with_weights_at(
-        &self,
-        topology: &Topology,
-        mean_weight_mags: &[f64],
-        origin_nc: usize,
     ) -> Result<Mapping, MapError> {
         self.config.validate().map_err(MapError::InvalidConfig)?;
         if mean_weight_mags.len() != topology.layer_count() {
@@ -231,14 +166,7 @@ impl Mapper {
             .enumerate()
             .map(|(i, spec)| partition::partition_spec(spec, i, &opts))
             .collect();
-        let placement = place_with_origin(&partitions, &self.config, origin_nc);
-        if origin_nc > 0 && placement.end_nc() > self.config.physical_ncs {
-            return Err(MapError::OriginOutOfBounds {
-                origin_nc,
-                end_nc: placement.end_nc(),
-                physical_ncs: self.config.physical_ncs,
-            });
-        }
+        let placement = place(&partitions, &self.config);
 
         let technology_warning = match max_feasible_size(&self.config.device, self.error_budget) {
             Some(max) if self.config.mca_size <= max => None,
@@ -444,45 +372,21 @@ mod tests {
     }
 
     #[test]
-    fn out_of_bounds_origin_is_rejected() {
-        // The paper's MNIST MLP needs 6 NCs on RESPARC-64 (16 physical):
-        // origin 12 would run to NC 18, which does not exist.
-        let t = Topology::mlp(784, &[800, 800, 10]);
-        let mapper = Mapper::new(ResparcConfig::resparc_64());
-        let err = mapper.map_at(&t, 12).unwrap_err();
-        assert!(matches!(
-            err,
-            MapError::OriginOutOfBounds {
-                origin_nc: 12,
-                physical_ncs: 16,
-                ..
-            }
-        ));
-        // Origin 0 may overflow freely (the simulators fold it) and
-        // in-bounds origins pass.
-        assert!(mapper.map_at(&t, 0).is_ok());
-        assert!(mapper.map_at(&t, 10).is_ok());
-    }
-
-    #[test]
     fn wrong_weight_count_is_a_typed_error() {
         let t = Topology::mlp(32, &[16, 4]);
         let mapper = Mapper::new(ResparcConfig::resparc_64());
-        for origin in [0, 1] {
-            let err = mapper.map_with_weights_at(&t, &[0.5], origin).unwrap_err();
-            assert_eq!(
-                err,
-                MapError::WeightCount {
-                    expected: 2,
-                    got: 1
-                }
-            );
-            assert_eq!(
-                err.to_string(),
-                "need one mean weight magnitude per layer: the topology has 2 layers, got 1 \
-                 magnitudes"
-            );
-        }
+        let err = mapper.map_with_weights(&t, &[0.5]).unwrap_err();
+        assert_eq!(
+            err,
+            MapError::WeightCount {
+                expected: 2,
+                got: 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "need one mean weight magnitude per layer: the topology has 2 layers, got 1 magnitudes"
+        );
         assert!(mapper.map_with_weights(&t, &[0.5, 0.5, 0.5]).is_err());
         assert!(mapper.map_with_weights(&t, &[0.5, 0.5]).is_ok());
     }

@@ -49,7 +49,7 @@ use resparc_neuro::network::Network;
 use resparc_neuro::topology::Topology;
 
 use crate::fabric::{FabricPool, TenantId};
-use crate::map::{MapError, Mapper, Mapping, Placement};
+use crate::map::{MapError, Mapping, Placement};
 
 /// How a batch of admission requests is placed onto a [`FabricPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -68,7 +68,8 @@ pub enum PlacementStrategy {
 
 /// One admission request in a batch: a name plus its pre-mapped probes,
 /// one per MCA size class of the target pool that can map it, in the
-/// greedy preference order `(nc_footprint, mca_size)` ascending.
+/// greedy preference order `(nc_footprint, mca_size)` ascending — the
+/// same probes, in the same order, that [`FabricPool::admit`] tries.
 #[derive(Debug, Clone)]
 pub struct PlacementRequest {
     /// The tenant label an admission will carry.
@@ -83,13 +84,20 @@ impl PlacementRequest {
     /// # Errors
     ///
     /// The last [`MapError`] when *no* class of the pool can map the
-    /// topology (classes that individually fail are skipped).
+    /// topology (classes that individually fail are skipped). A zero-NC
+    /// pool reports its configuration's validation error.
+    ///
+    /// [`Mapper::map`]: crate::map::Mapper::map
     pub fn from_topology(
         pool: &FabricPool,
         topology: &Topology,
         name: &str,
     ) -> Result<Self, MapError> {
-        Self::build(pool, |mapper| mapper.map(topology), name)
+        let (preferred, others) = pool.class_probes(|mapper| mapper.map(topology))?;
+        Ok(Self {
+            name: name.to_string(),
+            probes: std::iter::once(preferred).chain(others).collect(),
+        })
     }
 
     /// Builds a request for a trained network (weight magnitudes from
@@ -100,36 +108,17 @@ impl PlacementRequest {
     ///
     /// The last [`MapError`] when *no* class of the pool can map the
     /// network.
+    ///
+    /// [`Mapper::map_network`]: crate::map::Mapper::map_network
     pub fn from_network(
         pool: &FabricPool,
         network: &Network,
         name: &str,
     ) -> Result<Self, MapError> {
-        Self::build(pool, |mapper| mapper.map_network(network), name)
-    }
-
-    fn build<F>(pool: &FabricPool, probe_for: F, name: &str) -> Result<Self, MapError>
-    where
-        F: Fn(&Mapper) -> Result<Mapping, MapError>,
-    {
-        let mut probes: Vec<Mapping> = Vec::new();
-        let mut last_err: Option<MapError> = None;
-        for size in pool.size_classes() {
-            match probe_for(&Mapper::new(pool.class_config(size))) {
-                Ok(probe) => probes.push(probe),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        // Same preference order as FabricPool's greedy class choice.
-        probes.sort_by_key(|p| (p.placement.ncs_used.max(1), p.config.mca_size));
-        if probes.is_empty() {
-            return Err(last_err.unwrap_or_else(|| {
-                MapError::InvalidConfig("pool has no size classes".to_string())
-            }));
-        }
+        let (preferred, others) = pool.class_probes(|mapper| mapper.map_network(network))?;
         Ok(Self {
             name: name.to_string(),
-            probes,
+            probes: std::iter::once(preferred).chain(others).collect(),
         })
     }
 

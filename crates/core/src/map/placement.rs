@@ -82,26 +82,19 @@ impl Placement {
         self.origin_nc + self.ncs_used
     }
 
-    /// This placement translated `delta_nc` NeuroCells to the right — a
-    /// pure coordinate shift, identical to re-placing the same partitions
-    /// at `origin_nc + delta_nc` (placement packs contiguously from its
-    /// origin, so the whole-NC translation commutes with every span
-    /// computation; property-tested in `tests/proptests.rs`). This is how
-    /// a [`FabricPool`](crate::fabric::FabricPool) moves a probe mapping
-    /// into its allocated run without re-partitioning the network.
-    pub fn translated(&self, delta_nc: usize, config: &ResparcConfig) -> Placement {
-        self.translated_to(self.origin_nc + delta_nc, config)
-    }
-
-    /// This placement re-anchored at `new_origin_nc` — the signed
-    /// generalisation of [`Placement::translated`] that can also move a
-    /// placement *left*. A defragmenting
-    /// [`FabricPool`](crate::fabric::FabricPool) compaction slides
-    /// resident tenants toward NC 0 with exactly this operation: like
-    /// `translated`, it is a whole-NC coordinate shift (no
-    /// re-partitioning), so every span width, tile assignment and
-    /// boundary-crossing classification — and therefore every replayed
-    /// energy/cycle charge — is preserved bit-for-bit.
+    /// This placement re-anchored at `new_origin_nc`, left or right. A
+    /// [`FabricPool`](crate::fabric::FabricPool) moves an origin-0 probe
+    /// into its allocated run with it, and a defragmenting compaction
+    /// slides resident tenants toward NC 0 with it. It is a whole-NC
+    /// coordinate shift with no re-partitioning, so every span width,
+    /// tile assignment and boundary-crossing classification — and
+    /// therefore every replayed energy/cycle charge — is preserved
+    /// bit-for-bit.
+    ///
+    /// [`place_with_origin`] is its oracle: placement packs contiguously
+    /// from its origin, so translating equals re-placing the same
+    /// partitions at `new_origin_nc` (unit- and property-tested in
+    /// `tests/proptests.rs`).
     pub fn translated_to(&self, new_origin_nc: usize, config: &ResparcConfig) -> Placement {
         let mpes_per_nc = config.mpes_per_nc();
         let old_mpe = self.origin_nc * mpes_per_nc;
@@ -152,8 +145,10 @@ pub fn place(partitions: &[LayerPartition], config: &ResparcConfig) -> Placement
 
 /// Places layer partitions starting at NeuroCell `origin_nc` — the
 /// pool-coordinate view a [`FabricPool`](crate::fabric::FabricPool)
-/// tenant is expressed in. `place` is exactly `place_with_origin(.., 0)`,
-/// so the dedicated-fabric path is unchanged bit-for-bit.
+/// tenant is expressed in, and the oracle
+/// [`Placement::translated_to`] is tested against. `place` is exactly
+/// `place_with_origin(.., 0)`, so the dedicated-fabric path is unchanged
+/// bit-for-bit.
 pub fn place_with_origin(
     partitions: &[LayerPartition],
     config: &ResparcConfig,
@@ -309,15 +304,18 @@ mod tests {
     }
 
     #[test]
-    fn translated_equals_placing_at_the_origin() {
+    fn translated_to_equals_placing_at_the_origin() {
         let cfg = ResparcConfig::resparc_64();
         let parts = vec![
             dense_partition(784, 800, 64, 0),
             dense_partition(800, 10, 64, 1),
         ];
         let base = place(&parts, &cfg);
-        assert_eq!(base.translated(5, &cfg), place_with_origin(&parts, &cfg, 5));
-        assert_eq!(base.translated(0, &cfg), base);
+        assert_eq!(
+            base.translated_to(5, &cfg),
+            place_with_origin(&parts, &cfg, 5)
+        );
+        assert_eq!(base.translated_to(0, &cfg), base);
     }
 
     #[test]

@@ -367,6 +367,8 @@ proptest! {
     /// Placing at a NeuroCell origin shifts pool coordinates only: every
     /// span moves by exactly `origin` NCs and all counts (mPEs, NCs,
     /// MCAs, CCU traffic) and boundary classifications are unchanged.
+    /// `Placement::translated_to` — the only way a mapping reaches pool
+    /// coordinates — equals re-placing at the target origin, both ways.
     #[test]
     fn placement_origin_shifts_coordinates_only(
         inputs in 8usize..300,
@@ -407,6 +409,8 @@ proptest! {
         for l in 0..parts.len() {
             prop_assert_eq!(shifted.boundary_crosses_nc(l), base.boundary_crosses_nc(l));
         }
+        prop_assert_eq!(&base.translated_to(origin, &cfg), &shifted);
+        prop_assert_eq!(&shifted.translated_to(0, &cfg), &base);
     }
 
     /// FabricPool invariants under arbitrary admission sequences: no NC

@@ -1,4 +1,5 @@
-//! Golden digests of churn and fault-drill reports.
+//! Golden digests of churn and fault-drill reports and of the
+//! scheduler's request life cycle.
 //!
 //! Each digest is 64-bit FNV-1a over the bytes of a report's `{:?}`
 //! rendering. Debug prints floats shortest-round-trip, so equal bytes mean
@@ -7,7 +8,10 @@
 //! churn schedule and the `fig_resilience` drill under every packing
 //! policy, idle rounds between arrivals (with a fault striking an idle
 //! round), a request aborted because no healthy segment can hold it, and
-//! weighted requests whose service outlasts the sample set.
+//! weighted requests whose service outlasts the sample set. A last case
+//! drives `FabricScheduler` directly through seeded submit, round,
+//! fault, drain, restore and cancel sequences, with and without
+//! backfill, so every kind of departure record is pinned.
 //!
 //! Serving reports are left out on purpose: their arrival times go
 //! through the platform's `ln`/`sin`, so a committed float digest could
@@ -230,4 +234,131 @@ fn weighted_wrapping_service_matches_golden_digests() {
     )
     .unwrap();
     check("weighted drill", digest(&drill), GOLDEN[1]);
+}
+
+/// Weyl-sequence splitmix64: the step source of the life-cycle cases.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One seeded 40-step scheduler run, appending `{:?}` of every return
+/// value, the final occupancy and the completed records to `log`.
+fn life_cycle(pool: FabricPool, probes: &[Mapping], seed: u64, log: &mut String) {
+    let mut sched = FabricScheduler::new(pool);
+    if seed % 2 == 1 {
+        sched = sched.with_backfill(2);
+    }
+    let ncs = sched.pool().physical_ncs() as u64;
+    let mut state = seed;
+    let mut draw = |n: u64| splitmix64(&mut state) % n;
+    let mut submitted: Vec<RequestId> = Vec::new();
+    for _ in 0..40 {
+        let line = match draw(6) {
+            0 | 1 => {
+                let probe = probes[draw(probes.len() as u64) as usize].clone();
+                let rounds = 1 + draw(4) as usize;
+                let weight = 1 + draw(3) as u32;
+                let name = format!("r{}", submitted.len());
+                let id = sched.submit_mapped(probe, &name, rounds, weight);
+                submitted.push(id);
+                format!("submit {id:?}")
+            }
+            2 => {
+                let mut line = format!("begin {:?}", sched.begin_round());
+                match draw(4) {
+                    0 => line += &format!(" fail {:?}", sched.fail_nc(draw(ncs) as usize)),
+                    1 if !submitted.is_empty() => {
+                        let id = submitted[draw(submitted.len() as u64) as usize];
+                        line += &format!(" cancel {:?}", sched.cancel(id));
+                    }
+                    _ => {}
+                }
+                sched.end_round();
+                line
+            }
+            3 => format!("drain {:?}", sched.drain_nc(draw(ncs) as usize)),
+            4 => {
+                let quarantined: Vec<usize> = (0..ncs as usize)
+                    .filter(|&nc| sched.pool().nc_health()[nc] == NcHealth::Quarantined)
+                    .collect();
+                let nc = match quarantined.len() {
+                    0 => draw(ncs) as usize,
+                    n => quarantined[draw(n as u64) as usize],
+                };
+                format!("restore {:?}", sched.restore_nc(nc))
+            }
+            _ if submitted.is_empty() => String::new(),
+            _ => {
+                let id = submitted[draw(submitted.len() as u64) as usize];
+                format!("cancel {:?}", sched.cancel(id))
+            }
+        };
+        log.push_str(&line);
+        log.push('\n');
+    }
+    log.push_str(&format!(
+        "occupancy {:?}\ncompleted {:?}\n",
+        sched.pool().occupancy(),
+        sched.completed()
+    ));
+}
+
+#[test]
+fn scheduler_life_cycle_matches_golden_digests() {
+    // Seeded submit / round / drain / restore / cancel sequences, with a
+    // fault or a cancel striking some rounds after admission, on a
+    // homogeneous 16-NC pool and a mixed 32/64 inventory under every
+    // packing policy; odd seeds backfill. The mixed class regions are
+    // four and eight cells wide, so the policies choose different runs.
+    // Probes are mapped once per size class and queued with
+    // `submit_mapped`. Every logged value is an integer or a name, so
+    // the digests hold on any machine.
+    const GOLDEN: [[u64; 3]; 2] = [
+        [
+            0xd47e_9624_903d_537b,
+            0xd6d3_003a_c094_a283,
+            0xb1e3_b225_4bde_4208,
+        ],
+        [
+            0xf5e4_bf64_5211_f690,
+            0x0c49_3e7e_6690_a1f8,
+            0x4e2f_e490_b7c9_9b47,
+        ],
+    ];
+    let topologies = [
+        Topology::mlp(96, &[64, 10]),
+        Topology::mlp(144, &[576, 10]),
+        Topology::mlp(144, &[576, 576, 10]),
+        Topology::mlp(144, &[576, 576, 576, 10]),
+        Topology::mlp(144, &[576, 576, 576, 576, 10]),
+    ];
+    let pools = [
+        FabricPool::new(ResparcConfig::resparc_64()),
+        FabricPool::heterogeneous(
+            ResparcConfig::resparc_64(),
+            &[32, 32, 32, 32, 64, 64, 64, 64, 64, 64, 64, 64],
+        ),
+    ];
+    for (pool, want) in pools.iter().zip(GOLDEN) {
+        let probes: Vec<Mapping> = pool
+            .size_classes()
+            .into_iter()
+            .flat_map(|class| {
+                let mapper = Mapper::new(pool.class_config(class));
+                topologies.iter().map(move |t| mapper.map(t).unwrap())
+            })
+            .collect();
+        for (policy, want) in POLICIES.into_iter().zip(want) {
+            let mut log = String::new();
+            for seed in 0..20 {
+                life_cycle(pool.clone().with_policy(policy), &probes, seed, &mut log);
+            }
+            let case = format!("life cycle {:?} {policy:?}", pool.size_classes());
+            check(&case, fnv1a(log.as_bytes()), want);
+        }
+    }
 }

@@ -205,7 +205,8 @@ fn bench_encoding_sweep(c: &mut Criterion) {
 }
 
 /// Multi-tenant replay: three small MLP tenants' traces through one
-/// shared pool (`shared_replay`, one `SharedEventSimulator::run`) vs the
+/// shared pool (`shared_replay`, one all-1-weight
+/// `SharedEventSimulator::run_weighted`) vs the
 /// same three traces replayed one-by-one on dedicated mappings
 /// (`serial_replay`). The pair feeds the machine-independent
 /// `shared_replay=serial_replay` ratio gate in CI: shared replay does
@@ -242,7 +243,12 @@ fn bench_multi_tenant(c: &mut Criterion) {
     let mut group = c.benchmark_group("multi_tenant");
     group.sample_size(10);
     group.bench_function("shared_replay", |b| {
-        b.iter(|| black_box(SharedEventSimulator::new(black_box(&pool)).run(black_box(&pairs))))
+        b.iter(|| {
+            black_box(
+                SharedEventSimulator::new(black_box(&pool))
+                    .run_weighted(black_box(&pairs), &[1, 1, 1]),
+            )
+        })
     });
     // The weighted-QoS path: same pool and traces, 3:2:1 arbitration.
     // Gated against shared_replay as a ratio in CI — the per-tenant
@@ -295,15 +301,21 @@ fn bench_multi_tenant(c: &mut Criterion) {
     group.finish();
 }
 
-/// The online serving loop end to end: open-loop arrivals through the
-/// event-clock scheduler (admission, backfill, weighted replay, gated
-/// idle billing). `poisson_light` is three 1-NC classes under a steady
-/// trace — CI gates its cost as a ratio against
-/// `multi_tenant/churn_replay`, the raw round-driven replay it wraps,
-/// so the serving layer's bookkeeping stays a bounded multiple of the
-/// scheduling core. `bursty_heavy` is the mixed 1/2/4-NC workload under
-/// an 6-deep burst trace with the adaptive controller and preemption
-/// enabled — the worst-case path, tracked without a tight gate.
+/// One whole `serving_sweep` per iteration: mapping the classes (their
+/// weight-magnitude pass is cached on the networks after the first
+/// iteration), tracing every (class, sample) presentation, and the
+/// event-clock loop (admission, backfill, one replay per (class,
+/// sample), the per-round interleave, gated idle billing).
+/// `poisson_light` is three 1-NC classes under a steady trace; CI gates
+/// it as a ratio against `multi_tenant/churn_replay`, so the whole sweep
+/// — trace capture included, not only the loop's bookkeeping — stays a
+/// bounded multiple of the scheduling core. `bursty_heavy` is the mixed
+/// 2/1/4-NC workload under a 6-deep burst trace with the adaptive
+/// controller and preemption enabled: 18 arrivals serve up to 54
+/// tenant-rounds from 9 distinct replays. CI gates it as a ratio against
+/// `multi_tenant/shared_replay` (one three-tenant replay), so replaying
+/// every tenant-round again instead of reusing the (class, sample)
+/// replays trips the gate.
 fn bench_serving(c: &mut Criterion) {
     let pool_cfg = ResparcConfig::resparc_64();
     let sweep = SweepConfig::rate(STEPS, 0.7, 7);

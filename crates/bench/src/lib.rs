@@ -554,7 +554,7 @@ fn fig_tenancy_qos() -> String {
         .collect();
     let pairs: Vec<(TenantId, &SpikeTrace)> = ids.iter().copied().zip(traces.iter()).collect();
     let sim = SharedEventSimulator::new(&pool);
-    let fair = sim.run(&pairs);
+    let fair = sim.run_weighted(&pairs, &[1, 1, 1]);
     let weighted = sim.run_weighted(&pairs, &[4, 2, 1]);
     assert_eq!(weighted.latency, fair.latency, "the bus is work-conserving");
 

@@ -43,12 +43,18 @@
 //!   waiting behind other tenants are reported as
 //!   [`TenantReport::bus_stall_cycles`] along with the tenant's own
 //!   perceived [`TenantReport::latency`]. Equal weights (any magnitude —
-//!   weights are normalised by their gcd) are the fair arbitration
-//!   [`SharedEventSimulator::run`] performs, and a pool with one tenant
-//!   reproduces the dedicated-fabric
+//!   weights are normalised by their gcd) are the fair arbitration of
+//!   all-1 weights, and a pool with one tenant reproduces the
+//!   dedicated-fabric
 //!   [`EventSimulator`](crate::sim::event::EventSimulator) report
 //!   *bit-identically* (every per-event charge goes through the exact
-//!   same replay core).
+//!   same replay core). A shared round is two steps: each tenant's
+//!   [`EventSimulator::replay`](crate::sim::event::EventSimulator::replay)
+//!   on its own mapping, then [`SharedEventSimulator::interleave`], a
+//!   pure function of those replays, the weights and the pool's
+//!   residency. A replay does not depend on the tenant's NC origin, so a
+//!   serving loop replays each (network, trace) pair once and calls
+//!   `interleave` every round.
 //! * [`FabricScheduler`] ([`scheduler`]) makes tenancy **dynamic across
 //!   replay rounds**: requests arrive over time
 //!   ([`FabricScheduler::submit`]), are admitted when the pool's policy

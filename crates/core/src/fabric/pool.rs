@@ -313,7 +313,7 @@ impl FabricPool {
     ///     let mut pool =
     ///         FabricPool::new(ResparcConfig::resparc_64()).with_idle_gating(factor);
     ///     let id = pool.admit(&net, "solo").unwrap();
-    ///     SharedEventSimulator::new(&pool).run(&[(id, &trace)])
+    ///     SharedEventSimulator::new(&pool).run_weighted(&[(id, &trace)], &[1])
     /// };
     /// let (gated, ungated) = (run(0.1), run(1.0));
     /// // Same replay, same ledger — only the idle domain's bill shrinks.

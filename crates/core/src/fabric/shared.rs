@@ -8,15 +8,24 @@
 //! work-conserving — the summed cycles (and therefore the makespan, the
 //! ledger and every aggregate of [`SharedReport`]) are the same whatever
 //! the arbitration order — but *who waits* is not: weighted round-robin
-//! ([`SharedEventSimulator::run_weighted`]) grants each tenant its
-//! weight in bus cycles per round, and the report carries each tenant's
+//! grants each tenant its weight in bus cycles per round, and the report
+//! carries each tenant's
 //! [`bus_stall_cycles`](TenantReport::bus_stall_cycles) (cycles its
 //! transactions queued behind other tenants) and perceived
 //! [`latency`](TenantReport::latency). Weights are ratios: they are
 //! normalised by their gcd, so `[2, 2]` is the same fair arbitration as
-//! `[1, 1]` (what [`SharedEventSimulator::run`] performs) and any
-//! single-tenant replay reproduces the dedicated-fabric
-//! [`EventSimulator`](crate::sim::event::EventSimulator) bit-identically.
+//! `[1, 1]`, and any single-tenant replay reproduces the dedicated-fabric
+//! [`EventSimulator`] bit-identically.
+//!
+//! A shared round has two parts. Each tenant's trace is replayed on its
+//! own mapping ([`EventSimulator::replay`]), then
+//! [`SharedEventSimulator::interleave`] — a pure function of those
+//! replays, the weights and the pool's residency — builds the shared
+//! timeline and bills leakage. [`SharedEventSimulator::run_weighted`]
+//! does both. A replay does not depend on where its tenant sits, so a
+//! caller that presents the same trace to the same network shape in many
+//! rounds (the serving loop in `resparc_workloads`) replays it once and
+//! calls `interleave` each round.
 
 use resparc_energy::accounting::{Category, EnergyBreakdown};
 use resparc_energy::sram::SramSpec;
@@ -25,7 +34,7 @@ use resparc_neuro::trace::SpikeTrace;
 
 use crate::fabric::{logic_leakage_power, FabricPool, Tenant, TenantId};
 use crate::sim::cost;
-use crate::sim::event::{fold_factor, replay_trace, EventLayerStats, ReplayEngine, TraceReplay};
+use crate::sim::event::{fold_factor, EventLayerStats, EventSimulator, ReplayEngine, TraceReplay};
 
 /// One tenant's slice of a shared replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,7 +169,9 @@ impl SharedReport {
 }
 
 /// Trace-driven event simulator over a [`FabricPool`]: replays one trace
-/// per tenant, interleaved per timestep through the shared fabric.
+/// per tenant ([`run_weighted`](Self::run_weighted)), or takes
+/// precomputed replays ([`interleave`](Self::interleave)), interleaved
+/// per timestep through the shared fabric.
 #[derive(Debug, Clone)]
 pub struct SharedEventSimulator<'p> {
     pool: &'p FabricPool,
@@ -174,25 +185,12 @@ impl<'p> SharedEventSimulator<'p> {
         Self::with_engine(pool, ReplayEngine::default())
     }
 
-    /// Creates a simulator pinned to a specific replay engine. Both
-    /// engines produce bit-identical reports (see
-    /// [`crate::sim::event::ReplayEngine`]); the choice only affects
-    /// replay speed.
+    /// Creates a simulator pinned to a specific replay engine for
+    /// [`run_weighted`](Self::run_weighted). Both engines produce
+    /// bit-identical reports (see [`crate::sim::event::ReplayEngine`]);
+    /// the choice only affects replay speed.
     pub fn with_engine(pool: &'p FabricPool, engine: ReplayEngine) -> Self {
         Self { pool, engine }
-    }
-
-    /// Replays one trace per tenant through the shared fabric under
-    /// fair (equal-weight) bus arbitration — exactly
-    /// [`run_weighted`](Self::run_weighted) with every weight 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty, names a tenant not resident in the
-    /// pool, lists a tenant twice, or a trace's boundary structure does
-    /// not match its tenant's mapping.
-    pub fn run(&self, traces: &[(TenantId, &SpikeTrace)]) -> SharedReport {
-        self.run_weighted(traces, &vec![1; traces.len()])
     }
 
     /// Replays one trace per tenant through the shared fabric,
@@ -208,51 +206,94 @@ impl<'p> SharedEventSimulator<'p> {
     /// [`bus_stall_cycles`](TenantReport::bus_stall_cycles) and
     /// perceived [`latency`](TenantReport::latency). The bus is
     /// work-conserving, so every aggregate (ledger, makespan, bus
-    /// occupancy) is weight-independent — with one tenant or equal
-    /// weights the whole report is bit-identical to [`run`](Self::run).
+    /// occupancy) is weight-independent, and equal weights of any
+    /// magnitude are the same fair arbitration as all-1 weights.
     ///
     /// Dynamic energy is charged through the same replay core as the
-    /// single-tenant
-    /// [`EventSimulator`](crate::sim::event::EventSimulator); leakage of
-    /// the occupied fabric goes to the ledger and the idle remainder of
-    /// the pool is reported separately, amortized across tenants in
-    /// [`TenantReport::leakage_share`].
+    /// single-tenant [`EventSimulator`]; leakage of the occupied fabric
+    /// goes to the ledger and the idle remainder of the pool is reported
+    /// separately, amortized across tenants in
+    /// [`TenantReport::leakage_share`]. This is each tenant's
+    /// [`EventSimulator::replay`] on its own mapping followed by
+    /// [`interleave`](Self::interleave).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`run`](Self::run), and
-    /// additionally if `weights.len() != traces.len()` or any weight is
-    /// zero.
+    /// Panics if `traces` is empty, names a tenant not resident in the
+    /// pool, lists a tenant twice, or a trace's boundary structure does
+    /// not match its tenant's mapping; if `weights.len() !=
+    /// traces.len()`; or if any weight is zero.
     pub fn run_weighted(
         &self,
         traces: &[(TenantId, &SpikeTrace)],
         weights: &[u32],
     ) -> SharedReport {
+        let replays: Vec<TraceReplay> = traces
+            .iter()
+            .map(|&(id, trace)| {
+                EventSimulator::with_engine(&self.resident(id).mapping, self.engine).replay(trace)
+            })
+            .collect();
+        let pairs: Vec<(TenantId, &TraceReplay)> =
+            traces.iter().map(|&(id, _)| id).zip(&replays).collect();
+        self.interleave(&pairs, weights)
+    }
+
+    /// Interleaves precomputed per-tenant replays through the shared
+    /// fabric at the given bus weights — the shared timeline, the
+    /// weighted round-robin stalls and the residency-dependent leakage
+    /// of [`run_weighted`](Self::run_weighted), without replaying
+    /// anything. `replays[i]` is tenant `replays[i].0`'s
+    /// [`EventSimulator::replay`] on a mapping of the same shape as its
+    /// pool mapping (its origin-0 probe works as well as the translated
+    /// mapping: a replay does not depend on the origin), so
+    /// `interleave` over those replays is bit-identical to
+    /// `run_weighted` over the traces they came from. The simulator's
+    /// replay engine plays no part here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replays` is empty, names a tenant not resident in the
+    /// pool or lists one twice; if `weights.len() != replays.len()` or
+    /// any weight is zero; or if a replay's layer count or per-layer tile
+    /// counts differ from its tenant's mapping (a replay of another
+    /// network).
+    pub fn interleave(
+        &self,
+        replays: &[(TenantId, &TraceReplay)],
+        weights: &[u32],
+    ) -> SharedReport {
         assert!(
-            !traces.is_empty(),
+            !replays.is_empty(),
             "shared replay needs at least one tenant trace"
         );
         assert_eq!(
             weights.len(),
-            traces.len(),
+            replays.len(),
             "one arbitration weight per tenant trace"
         );
         assert!(
             weights.iter().all(|&w| w > 0),
             "arbitration weights must be positive"
         );
-        let mut entries: Vec<(&Tenant, &SpikeTrace)> = Vec::with_capacity(traces.len());
-        for (id, trace) in traces {
-            let tenant = self
-                .pool
-                .tenant(*id)
-                // resparc-lint: allow(no-panic, reason = "documented panic contract: run_weighted takes ids the caller obtained from this pool")
-                .unwrap_or_else(|| panic!("{id} is not resident in the pool"));
+        let mut entries: Vec<&Tenant> = Vec::with_capacity(replays.len());
+        for &(id, replay) in replays {
+            let tenant = self.resident(id);
             assert!(
-                entries.iter().all(|(t, _)| t.id != *id),
+                entries.iter().all(|t| t.id != id),
                 "{id} listed twice in one shared replay"
             );
-            entries.push((tenant, trace));
+            let partitions = &tenant.mapping.partitions;
+            assert!(
+                replay.layers.len() == partitions.len()
+                    && replay
+                        .layers
+                        .iter()
+                        .zip(partitions)
+                        .all(|(layer, part)| layer.tiles == part.tile_count()),
+                "{id}: replay does not match the tenant's mapping"
+            );
+            entries.push(tenant);
         }
         // Weights are ratios: gcd-normalise so [2, 2] and [1, 1] run the
         // identical arbitration schedule (asserted in tests).
@@ -260,17 +301,13 @@ impl<'p> SharedEventSimulator<'p> {
         let quanta: Vec<u64> = weights.iter().map(|&w| u64::from(w / g)).collect();
 
         let cfg = self.pool.config();
-        let replays: Vec<TraceReplay> = entries
-            .iter()
-            .map(|(tenant, trace)| replay_trace(&tenant.mapping, trace, self.engine))
-            .collect();
         let folds: Vec<u64> = entries
             .iter()
-            .map(|(tenant, _)| fold_factor(&tenant.mapping))
+            .map(|tenant| fold_factor(&tenant.mapping))
             .collect();
         let steps = replays
             .iter()
-            .map(|r| r.compute_cycles.len())
+            .map(|(_, r)| r.compute_cycles.len())
             .max()
             .unwrap_or(0);
 
@@ -288,7 +325,7 @@ impl<'p> SharedEventSimulator<'p> {
             let mut local = 0u64;
             let mut bus = 0u64;
             let mut any_active = false;
-            for (i, (replay, &fold)) in replays.iter().zip(&folds).enumerate() {
+            for (i, (&(_, replay), &fold)) in replays.iter().zip(&folds).enumerate() {
                 pending[i] = 0;
                 if t < replay.compute_cycles.len() {
                     local = local.max((replay.compute_cycles[t] + replay.comm_cycles[t]) * fold);
@@ -339,7 +376,7 @@ impl<'p> SharedEventSimulator<'p> {
                     }
                 }
             }
-            for (i, replay) in replays.iter().enumerate() {
+            for (i, &(_, replay)) in replays.iter().enumerate() {
                 if t < replay.compute_cycles.len() {
                     let own_local = (replay.compute_cycles[t] + replay.comm_cycles[t]) * folds[i];
                     stall_cycles[i] += finish[i] - replay.bus_cycles[t];
@@ -362,7 +399,7 @@ impl<'p> SharedEventSimulator<'p> {
         // single-tenant simulator charges, so a pool whose only resident
         // is the one replayed tenant reproduces it exactly.
         let mut energy = EnergyBreakdown::new();
-        for replay in &replays {
+        for (_, replay) in replays {
             energy.merge(&replay.energy);
         }
         let sram = SramSpec::new(cfg.input_sram_bytes, cfg.packet_bits).build();
@@ -403,7 +440,7 @@ impl<'p> SharedEventSimulator<'p> {
             .iter()
             .zip(replays)
             .enumerate()
-            .map(|(i, ((tenant, _), replay))| {
+            .map(|(i, (tenant, (_, replay)))| {
                 // NC-proportional amortization over *residents*: replaying
                 // a subset of the pool bills each replayed tenant its own
                 // floorplan share and leaves the absent residents' shares
@@ -420,8 +457,8 @@ impl<'p> SharedEventSimulator<'p> {
                     tenant_cycles: tenant_cycles[i],
                     bus_stall_cycles: stall_cycles[i],
                     latency: cfg.frequency.cycles_to_time(tenant_cycles[i]),
-                    energy: replay.energy,
-                    layers: replay.layers,
+                    energy: replay.energy.clone(),
+                    layers: replay.layers.clone(),
                 }
             })
             .collect();
@@ -434,9 +471,17 @@ impl<'p> SharedEventSimulator<'p> {
             total_cycles,
             bus_busy_cycles,
             latency,
-            throughput: cost::safe_throughput(latency) * traces.len() as f64,
+            throughput: cost::safe_throughput(latency) * replays.len() as f64,
             tenants,
         }
+    }
+
+    /// The resident tenant `id`.
+    fn resident(&self, id: TenantId) -> &Tenant {
+        self.pool
+            .tenant(id)
+            // resparc-lint: allow(no-panic, reason = "documented panic contract: shared replays take ids the caller obtained from this pool")
+            .unwrap_or_else(|| panic!("{id} is not resident in the pool"))
     }
 }
 
@@ -476,8 +521,6 @@ mod tests {
 
     #[test]
     fn single_tenant_shared_replay_is_bit_identical_to_dedicated() {
-        use crate::sim::event::EventSimulator;
-
         let net = small_net(7);
         let trace = traced(&net, 0.8, 18);
         let mut pool = FabricPool::new(ResparcConfig::resparc_64());
@@ -487,7 +530,7 @@ mod tests {
             .map_network(&net)
             .unwrap();
         let single = EventSimulator::new(&dedicated).run(&trace);
-        let shared = SharedEventSimulator::new(&pool).run(&[(id, &trace)]);
+        let shared = SharedEventSimulator::new(&pool).run_weighted(&[(id, &trace)], &[1]);
 
         assert_eq!(shared.energy, single.energy, "ledger must be bit-identical");
         assert_eq!(shared.total_cycles, single.total_cycles);
@@ -505,8 +548,6 @@ mod tests {
 
     #[test]
     fn shared_replay_sums_dynamic_and_overlaps_makespan() {
-        use crate::sim::event::EventSimulator;
-
         let nets: Vec<Network> = (0..3).map(small_net).collect();
         let traces: Vec<SpikeTrace> = nets.iter().map(|n| traced(n, 0.7, 20)).collect();
         let mut pool = FabricPool::new(ResparcConfig::resparc_64());
@@ -516,7 +557,7 @@ mod tests {
             .map(|(i, n)| pool.admit(n, &format!("t{i}")).unwrap())
             .collect();
         let pairs: Vec<(TenantId, &SpikeTrace)> = ids.iter().copied().zip(traces.iter()).collect();
-        let shared = SharedEventSimulator::new(&pool).run(&pairs);
+        let shared = SharedEventSimulator::new(&pool).run_weighted(&pairs, &[1, 1, 1]);
 
         // Per-tenant dynamic energy and tallies match a dedicated run.
         let mapper = Mapper::new(ResparcConfig::resparc_64());
@@ -585,12 +626,12 @@ mod tests {
         let pairs: Vec<(TenantId, &SpikeTrace)> = ids.iter().copied().zip(traces.iter()).collect();
 
         let sim = SharedEventSimulator::new(&pool);
-        let fair = sim.run(&pairs);
+        let fair = sim.run_weighted(&pairs, &[1, 1, 1]);
         // gcd normalisation: [5, 5, 5] is the same schedule as [1, 1, 1]
         // — the whole report (stall and latency accounting included) is
         // bit-identical, not merely the aggregates.
         assert_eq!(sim.run_weighted(&pairs, &[5, 5, 5]), fair);
-        assert_eq!(sim.run_weighted(&pairs, &[1, 1, 1]), fair);
+        assert_eq!(sim.run_weighted(&pairs, &[2, 2, 2]), fair);
         for t in &fair.tenants {
             assert_eq!(t.weight, 1);
         }
@@ -609,7 +650,7 @@ mod tests {
         let pairs: Vec<(TenantId, &SpikeTrace)> = ids.iter().copied().zip(traces.iter()).collect();
 
         let sim = SharedEventSimulator::new(&pool);
-        let fair = sim.run(&pairs);
+        let fair = sim.run_weighted(&pairs, &[1, 1]);
         let favoured = sim.run_weighted(&pairs, &[6, 1]);
 
         // The bus is work-conserving: every aggregate is
@@ -647,12 +688,12 @@ mod tests {
 
         let mut solo = FabricPool::new(cfg.clone());
         let solo_id = solo.admit(&a, "a").unwrap();
-        let solo_run = SharedEventSimulator::new(&solo).run(&[(solo_id, &trace)]);
+        let solo_run = SharedEventSimulator::new(&solo).run_weighted(&[(solo_id, &trace)], &[1]);
 
         let mut pool = FabricPool::new(cfg);
         let id_a = pool.admit(&a, "a").unwrap();
         pool.admit(&b, "b").unwrap();
-        let shared = SharedEventSimulator::new(&pool).run(&[(id_a, &trace)]);
+        let shared = SharedEventSimulator::new(&pool).run_weighted(&[(id_a, &trace)], &[1]);
 
         // Same trace, same timeline — but the two-resident pool's
         // occupied-leakage domain includes b's NCs.
@@ -704,7 +745,7 @@ mod tests {
         let run = |factor: f64| {
             let mut pool = FabricPool::new(ResparcConfig::resparc_64()).with_idle_gating(factor);
             let id = pool.admit(&net, "solo").unwrap();
-            SharedEventSimulator::new(&pool).run(&[(id, &trace)])
+            SharedEventSimulator::new(&pool).run_weighted(&[(id, &trace)], &[1])
         };
         let full = run(1.0);
         let quarter = run(0.25);
@@ -748,9 +789,38 @@ mod tests {
         let id = pool.admit(&net, "a").unwrap();
         let bad = SpikeTrace::silent(&[96, 10], 4);
         let result = std::panic::catch_unwind(|| {
-            SharedEventSimulator::new(&pool).run(&[(id, &bad)]);
+            SharedEventSimulator::new(&pool).run_weighted(&[(id, &bad)], &[1]);
         });
         assert!(result.is_err());
+    }
+
+    /// A resident `a` and a replay of `other` on its own mapping.
+    fn replay_of_another_network(other: &Network) -> (FabricPool, TenantId, TraceReplay) {
+        let mut pool = FabricPool::new(ResparcConfig::resparc_64());
+        let id = pool.admit(&small_net(3), "a").unwrap();
+        let mapping = Mapper::new(ResparcConfig::resparc_64())
+            .map_network(other)
+            .unwrap();
+        let replay = EventSimulator::new(&mapping).replay(&traced(other, 0.5, 6));
+        (pool, id, replay)
+    }
+
+    #[test]
+    #[should_panic(expected = "replay does not match")]
+    fn replay_with_another_layer_count_panics() {
+        let deeper = Network::random(Topology::mlp(96, &[64, 64, 10]), 4, 1.0);
+        let (pool, id, replay) = replay_of_another_network(&deeper);
+        SharedEventSimulator::new(&pool).interleave(&[(id, &replay)], &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "replay does not match")]
+    fn replay_with_other_tile_counts_panics() {
+        // Same two layers, but 200 inputs need four row tiles where the
+        // resident's 96 need two.
+        let wider = Network::random(Topology::mlp(200, &[64, 10]), 4, 1.0);
+        let (pool, id, replay) = replay_of_another_network(&wider);
+        SharedEventSimulator::new(&pool).interleave(&[(id, &replay)], &[1]);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use map::{
     MappingReport, PartitionOptions, Placement, PlacementRequest, PlacementStrategy, Tile,
 };
 pub use mpe::{CcuLink, CurrentControlUnit, MacroProcessingEngine, McaBuffers, PhaseSchedule};
-pub use sim::event::{EventLayerStats, EventReport, EventSimulator, ReplayEngine};
+pub use sim::event::{EventLayerStats, EventReport, EventSimulator, ReplayEngine, TraceReplay};
 pub use sim::plan::ReplayPlan;
 pub use sim::{ExecutionReport, LayerExecStats, Simulator};
 pub use switch::{PacketAddress, ProgrammableSwitch, SpikePacket, SwitchCoord, SwitchOutput};
@@ -96,7 +96,9 @@ pub mod prelude {
     pub use crate::mpe::{
         CcuLink, CurrentControlUnit, MacroProcessingEngine, McaBuffers, PhaseSchedule,
     };
-    pub use crate::sim::event::{EventLayerStats, EventReport, EventSimulator, ReplayEngine};
+    pub use crate::sim::event::{
+        EventLayerStats, EventReport, EventSimulator, ReplayEngine, TraceReplay,
+    };
     pub use crate::sim::plan::ReplayPlan;
     pub use crate::sim::{ExecutionReport, LayerExecStats, Simulator};
     pub use crate::switch::{

@@ -115,22 +115,7 @@ impl Mapper {
     /// Returns [`MapError::InvalidConfig`] if the configuration fails
     /// validation.
     pub fn map_network(&self, network: &Network) -> Result<Mapping, MapError> {
-        let mags: Vec<f64> = network
-            .layers()
-            .iter()
-            .map(|l| {
-                let ws = l.weights();
-                if ws.is_empty() {
-                    0.0
-                } else {
-                    let max = ws.iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
-                    // Mean magnitude of the *normalized* weights, which is
-                    // what the crossbar stores.
-                    (ws.iter().map(|&w| (w.abs() / max) as f64).sum::<f64>()) / ws.len() as f64
-                }
-            })
-            .collect();
-        self.map_with_weights(network.topology(), &mags)
+        self.map_with_weights(network.topology(), network.mean_weight_magnitudes())
     }
 
     /// Maps a topology with explicit per-layer mean normalized-|weight|
@@ -346,6 +331,21 @@ mod tests {
         assert_eq!(r.layers[0].max_degree, 13);
         assert!(r.layers[0].mean_utilization > 0.9);
         assert!(m.technology_warning.is_none());
+    }
+
+    #[test]
+    fn map_network_sees_weights_edited_through_layers_mut() {
+        // The first map fills the network's weight-magnitude cache; an
+        // edit through `layers_mut` must clear it, so the next map
+        // agrees with a network built fresh from the edited layers.
+        let mapper = Mapper::new(ResparcConfig::resparc_64());
+        let mut net = Network::random(Topology::mlp(96, &[64, 10]), 3, 1.0);
+        let before = mapper.map_network(&net).unwrap().mean_weight_mags;
+        net.layers_mut()[0].weights_mut()[0] = 50.0;
+        let edited = mapper.map_network(&net).unwrap().mean_weight_mags;
+        let fresh = Network::new(net.input_count(), net.layers().to_vec());
+        assert_eq!(edited, mapper.map_network(&fresh).unwrap().mean_weight_mags);
+        assert_ne!(edited, before);
     }
 
     #[test]

@@ -35,19 +35,26 @@
 //!
 //! # The replay core and the multi-tenant contract
 //!
-//! The per-event walk lives in one place — the crate-private
-//! `replay_trace` — which returns the dynamic ledger plus *per-timestep*
-//! compute/switch/bus cycle vectors. [`EventSimulator`] folds those into
-//! a dedicated-fabric timeline (`(compute + comm) × fold + bus` per
-//! step, floor one cycle); the multi-tenant
+//! The per-event walk lives in one place — [`EventSimulator::replay`] —
+//! which returns a [`TraceReplay`]: the dynamic ledger plus
+//! *per-timestep* compute/switch/bus cycle vectors. [`EventSimulator::run`]
+//! folds those into a dedicated-fabric timeline (`(compute + comm) × fold
+//! + bus` per step, floor one cycle); the multi-tenant
 //! [`SharedEventSimulator`](crate::fabric::SharedEventSimulator)
-//! interleaves several tenants' vectors instead — the **maximum** of the
+//! interleaves several tenants' replays instead — the **maximum** of the
 //! local (compute + switch) cycles across the disjoint NC runs, plus the
 //! **sum** of the serialised shared-bus cycles, apportioned by weighted
 //! round-robin. Because both simulators consume the identical per-event
 //! charges, a pool with a single tenant is guaranteed to reproduce this
 //! module's [`EventReport`] bit-for-bit — the regression contract
 //! `tests/multi_tenant.rs` pins.
+//!
+//! A replay reads only the mapping's partitions, replay plan, span
+//! widths, NC counts and NC-boundary crossings, all of which survive
+//! [`Placement::translated_to`](crate::map::Placement::translated_to).
+//! So it depends on the (mapping, trace, engine) triple and not on where
+//! a tenant sits in a pool: a serving loop replays each distinct trace
+//! once and interleaves the same [`TraceReplay`] in every round.
 //!
 //! # Replay engines
 //!
@@ -69,8 +76,8 @@
 //! active counts they derive; since every count is an integer and the
 //! charge order is unchanged, the two engines produce **bit-identical**
 //! [`EventReport`]s (and, through the shared/fault/serving layers built
-//! on `replay_trace`, bit-identical reports everywhere) — a contract the
-//! unit tests here and `tests/trace_event.rs` proptests pin.
+//! on [`EventSimulator::replay`], bit-identical reports everywhere) — a
+//! contract the unit tests here and `tests/trace_event.rs` proptests pin.
 //!
 //! [`SpikeTrace`]: resparc_neuro::trace::SpikeTrace
 
@@ -250,14 +257,13 @@ impl<'m> EventSimulator<'m> {
     /// equal to the mapped layer shapes).
     pub fn run(&self, trace: &SpikeTrace) -> EventReport {
         let cfg = &self.mapping.config;
-        let replay = replay_trace(self.mapping, trace, self.engine);
         let TraceReplay {
             mut energy,
             comm_cycles,
             bus_cycles,
             compute_cycles,
             layers: layer_stats,
-        } = replay;
+        } = self.replay(trace);
         let steps = trace.steps();
         let sram = SramSpec::new(cfg.input_sram_bytes, cfg.packet_bits).build();
 
@@ -290,6 +296,21 @@ impl<'m> EventSimulator<'m> {
             layers: layer_stats,
         }
     }
+
+    /// Replays `trace` through the fabric and returns its dynamic charges
+    /// and per-step cycle contributions, before any leakage or timeline:
+    /// the body [`run`](Self::run) finishes and
+    /// [`SharedEventSimulator::interleave`](crate::fabric::SharedEventSimulator::interleave)
+    /// interleaves. The replay depends only on the mapping's shape (not
+    /// on its pool origin), the trace and the engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace's boundary structure does not match the
+    /// mapping, as [`run`](Self::run) does.
+    pub fn replay(&self, trace: &SpikeTrace) -> TraceReplay {
+        replay_trace(self.mapping, trace, self.engine)
+    }
 }
 
 /// Serialisation factor of a mapping that overflows the physical
@@ -305,7 +326,7 @@ pub(crate) fn fold_factor(mapping: &Mapping) -> u64 {
 }
 
 /// Asserts that a trace's boundary structure matches a mapping.
-pub(crate) fn validate_trace(mapping: &Mapping, trace: &SpikeTrace) {
+fn validate_trace(mapping: &Mapping, trace: &SpikeTrace) {
     assert_eq!(
         trace.boundary_count(),
         mapping.layer_count() + 1,
@@ -326,17 +347,19 @@ pub(crate) fn validate_trace(mapping: &Mapping, trace: &SpikeTrace) {
 }
 
 /// Dynamic (per-event) outcome of replaying one trace through one mapped
-/// network: the charged ledger *before* leakage, per-timestep cycle
-/// contributions, and per-layer tallies.
+/// network ([`EventSimulator::replay`]): the charged ledger *before*
+/// leakage, per-timestep cycle contributions, and per-layer tallies.
 ///
 /// This is the unit of work the single-tenant [`EventSimulator`] and the
 /// multi-tenant
 /// [`SharedEventSimulator`](crate::fabric::SharedEventSimulator) share
 /// verbatim — the two paths charge identical per-event costs by
 /// construction, so a one-tenant pool reproduces the dedicated-fabric
-/// report exactly.
+/// report exactly. The type is opaque: its only use is to be finished
+/// into a report, so one replay can serve every round that presents the
+/// same trace to the same network shape.
 #[derive(Debug, Clone)]
-pub(crate) struct TraceReplay {
+pub struct TraceReplay {
     /// Dynamic energy (no leakage yet).
     pub(crate) energy: EnergyBreakdown,
     /// Per-step switch-serialisation cycles.
@@ -418,11 +441,7 @@ fn scan_tile_plan(
 /// # Panics
 ///
 /// Panics if the trace's boundary structure does not match the mapping.
-pub(crate) fn replay_trace(
-    mapping: &Mapping,
-    trace: &SpikeTrace,
-    engine: ReplayEngine,
-) -> TraceReplay {
+fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> TraceReplay {
     let cfg = &mapping.config;
     validate_trace(mapping, trace);
     let plan = match engine {

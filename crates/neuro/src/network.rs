@@ -122,15 +122,17 @@ impl Layer {
 /// A complete weighted network.
 ///
 /// Holds its validated [`Topology`] (built once at construction) and
-/// lazily caches its [`CompiledNetwork`] execution kernels; cloning a
-/// network shares the cached kernels, and [`Network::layers_mut`]
-/// invalidates them.
+/// lazily caches its [`CompiledNetwork`] execution kernels and its
+/// per-layer [mean weight magnitudes](Network::mean_weight_magnitudes);
+/// cloning a network shares the cached values, and
+/// [`Network::layers_mut`] invalidates them.
 #[derive(Clone)]
 pub struct Network {
     input_count: usize,
     layers: Vec<Layer>,
     topology: Topology,
     kernels: OnceLock<Arc<CompiledNetwork>>,
+    weight_mags: OnceLock<Vec<f64>>,
 }
 
 impl fmt::Debug for Network {
@@ -145,8 +147,9 @@ impl fmt::Debug for Network {
 
 impl PartialEq for Network {
     fn eq(&self, other: &Self) -> bool {
-        // The topology is derived from the layers and the kernel cache is
-        // derived state; neither participates in equality.
+        // The topology is derived from the layers and the kernel and
+        // weight-magnitude caches are derived state; none participates in
+        // equality.
         self.input_count == other.input_count && self.layers == other.layers
     }
 }
@@ -166,6 +169,7 @@ impl Network {
             layers,
             topology,
             kernels: OnceLock::new(),
+            weight_mags: OnceLock::new(),
         }
     }
 
@@ -196,6 +200,7 @@ impl Network {
             layers,
             topology,
             kernels: OnceLock::new(),
+            weight_mags: OnceLock::new(),
         }
     }
 
@@ -210,11 +215,35 @@ impl Network {
     }
 
     /// Mutable access to the layers. Invalidates the compiled-kernel
-    /// cache: the next execution recompiles against the new weights /
-    /// thresholds.
+    /// and weight-magnitude caches: the next execution recompiles against
+    /// the new weights / thresholds.
     pub fn layers_mut(&mut self) -> &mut [Layer] {
         self.kernels.take();
+        self.weight_mags.take();
         &mut self.layers
+    }
+
+    /// Per-layer mean magnitude of the *normalized* weights (each layer's
+    /// |weight| over its largest |weight|) — what a crossbar stores, and
+    /// what the RESPARC mapper feeds its crossbar energy model. `0.0`
+    /// for a layer without weights. Computed on first use (one
+    /// sequential `f64` sum per layer, in weight order) and cached until
+    /// [`layers_mut`](Self::layers_mut).
+    pub fn mean_weight_magnitudes(&self) -> &[f64] {
+        self.weight_mags.get_or_init(|| {
+            self.layers
+                .iter()
+                .map(|l| {
+                    let ws = l.weights();
+                    if ws.is_empty() {
+                        0.0
+                    } else {
+                        let max = ws.iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
+                        (ws.iter().map(|&w| (w.abs() / max) as f64).sum::<f64>()) / ws.len() as f64
+                    }
+                })
+                .collect()
+        })
     }
 
     /// The structural topology of this network (validated once at

@@ -156,12 +156,13 @@ impl ChurnReport {
 /// [`FabricScheduler`](resparc_core::fabric::FabricScheduler)
 /// over the pool (admit when `policy` finds capacity — including
 /// defragmentation for [`PackingPolicy::Defragment`] — queue FIFO
-/// otherwise, evict on departure) and replays each round through
-/// [`SharedEventSimulator::run_weighted`] at the requests' weights. The
-/// static baseline packs requests into co-resident batches in arrival
-/// order; a batch is admitted whole, runs until its longest member's
-/// service completes (early finishers idle resident, their silicon
-/// still powered), and only then is the next batch admitted.
+/// otherwise, evict on departure) and interleaves each round's replays
+/// through [`SharedEventSimulator::interleave`] at the requests' weights
+/// (each distinct (request, sample) trace is replayed once per sweep).
+/// The static baseline packs requests into co-resident batches in
+/// arrival order; a batch is admitted whole, runs until its longest
+/// member's service completes (early finishers idle resident, their
+/// silicon still powered), and only then is the next batch admitted.
 ///
 /// Both disciplines bill dynamic per-event energy plus the whole
 /// powered pool's leakage over their busy wall-clock; idle rounds
@@ -277,7 +278,7 @@ pub fn churn_sweep(
                 .iter()
                 .map(|&&(i, id)| (id, &traces[i][k % samples.len()]))
                 .collect();
-            let report = sim.run(&pairs);
+            let report = sim.run_weighted(&pairs, &vec![1; pairs.len()]);
             stat_energy += report
                 .tenants
                 .iter()
@@ -404,8 +405,9 @@ pub(crate) fn run_schedule(
         policy,
         &probes,
         &classes,
+        &traces,
         &arrivals,
-        |k, r| &traces[order[k]][r % traces[order[k]].len()],
+        |k, r| r % traces[order[k]].len(),
         Discipline::Rounds(faults),
     );
     Ok((served, (probes, traces, per_tenant_accuracy, order)))

@@ -342,7 +342,8 @@ fn place_and_meter(
             inferences: 0,
         }
     } else {
-        let report = SharedEventSimulator::new(&placed.pool).run(&pairs);
+        let report =
+            SharedEventSimulator::new(&placed.pool).run_weighted(&pairs, &vec![1; pairs.len()]);
         let dynamic: Energy = report.tenants.iter().map(|t| t.energy.total()).sum();
         TenancyMetrics {
             dynamic_energy: dynamic,

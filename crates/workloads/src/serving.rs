@@ -28,11 +28,17 @@
 //!   blocked wide head for at most
 //!   [`ServingSpec::backfill_window`] rounds, which bounds head-of-line
 //!   starvation;
-//! * each round replays through
-//!   [`SharedEventSimulator::run_weighted`]; the event clock advances
-//!   by the round's makespan, and a request's end-to-end latency is its
-//!   queue wait plus every round it was resident, finishing at its own
-//!   perceived bus-arbitration latency inside its last round;
+//! * each (class, sample) trace is replayed once per run, on the
+//!   class's origin-0 probe, the first time a round needs it
+//!   ([`EventSimulator::replay`]); each round interleaves the residents'
+//!   cached replays at that round's weights
+//!   ([`SharedEventSimulator::interleave`], bit-identical to
+//!   [`SharedEventSimulator::run_weighted`] on the resident tenants,
+//!   because a replay does not depend on where its tenant sits); the
+//!   event clock advances by the round's makespan, and a request's
+//!   end-to-end latency is its queue wait plus every round it was
+//!   resident, finishing at its own perceived bus-arbitration latency
+//!   inside its last round;
 //! * requests still incomplete [`ServingSpec::preempt_after`] SLOs
 //!   after arrival are **preempted** ([`FabricScheduler::cancel`]) —
 //!   over-budget tenants stop consuming NeuroCells that SLO-meeting
@@ -91,13 +97,15 @@
 //! assert!(report.gated_idle_leakage < report.ungated_idle_leakage);
 //! ```
 
+use std::cell::OnceCell;
+
 use rayon::prelude::*;
 use resparc_core::fabric::{
     pool_leakage_power, AdmitError, FabricPool, FabricScheduler, PackingPolicy, RequestId,
     SharedEventSimulator, TenantId,
 };
 use resparc_core::map::{Mapper, Mapping};
-use resparc_core::{ReplayEngine, ResparcConfig};
+use resparc_core::{EventSimulator, ReplayEngine, ResparcConfig, TraceReplay};
 use resparc_energy::accounting::Category;
 use resparc_energy::sram::SramSpec;
 use resparc_energy::units::{Energy, Time};
@@ -603,15 +611,29 @@ struct InFlight {
 
 /// The service loop every dynamic workload runs ([module docs](self)).
 /// `arrivals` lists `(instant on the discipline's clock, class)` in
-/// order; `probes` and `classes` are indexed by class, and `trace(i, r)`
-/// is the trace arrival `i` replays on its `r`-th service round.
-pub(crate) fn serve<'t>(
+/// order; `probes`, `classes` and `traces` are indexed by class, and
+/// arrival `i` of class `c` replays `traces[c][sample(i, r)]` on its
+/// `r`-th service round.
+///
+/// Each (class, sample) trace is replayed once, on the class's origin-0
+/// probe, the first time a round needs it. Every round then interleaves
+/// the residents' cached replays at that round's weights. This is exact:
+/// a tenant's pool mapping is its class probe translated into its NC
+/// run, and a replay does not depend on the origin, so the cached replay
+/// is the one the tenant's own mapping would produce in any round, after
+/// any requeue or defragmentation move.
+// The per-class inputs (probes, classes, traces) and the per-arrival
+// inputs (arrivals, sample) are separate lists both callers already
+// hold; bundling them would only add a wrapper type.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn serve(
     pool_config: &ResparcConfig,
     policy: PackingPolicy,
     probes: &[Mapping],
     classes: &[ServiceClass],
+    traces: &[Vec<SpikeTrace>],
     arrivals: &[(f64, usize)],
-    trace: impl Fn(usize, usize) -> &'t SpikeTrace,
+    sample: impl Fn(usize, usize) -> usize,
     discipline: Discipline<'_>,
 ) -> Served {
     let (spec, faults) = match discipline {
@@ -633,6 +655,12 @@ pub(crate) fn serve<'t>(
         .leakage();
     let pool_leak = pool_leakage_power(pool_config);
     let logic_leak = pool_leak - sram_leak;
+
+    // One replay per (class, sample), filled on first use.
+    let replays: Vec<Vec<OnceCell<TraceReplay>>> = traces
+        .iter()
+        .map(|samples| samples.iter().map(|_| OnceCell::new()).collect())
+        .collect();
 
     let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; arrivals.len()];
     // Request book-keeping, indexed by RequestId::index().
@@ -703,19 +731,23 @@ pub(crate) fn serve<'t>(
             sched.end_round();
             continue;
         }
-        let pairs: Vec<(TenantId, &SpikeTrace)> = residents
+        let pairs: Vec<(TenantId, &TraceReplay)> = residents
             .iter()
             .map(|st| {
                 let f = in_flight[st.request.index() as usize];
-                (st.tenant, trace(f.arrival_index, st.rounds_served))
+                let s = sample(f.arrival_index, st.rounds_served);
+                let replay = replays[f.class][s].get_or_init(|| {
+                    EventSimulator::with_engine(&probes[f.class], engine)
+                        .replay(&traces[f.class][s])
+                });
+                (st.tenant, replay)
             })
             .collect();
         let round_weights: Vec<u32> = residents
             .iter()
             .map(|st| weights[in_flight[st.request.index() as usize].class])
             .collect();
-        let report = SharedEventSimulator::with_engine(sched.pool(), engine)
-            .run_weighted(&pairs, &round_weights);
+        let report = SharedEventSimulator::new(sched.pool()).interleave(&pairs, &round_weights);
 
         dynamic_energy += report
             .tenants
@@ -898,8 +930,9 @@ pub fn serving_sweep(
         policy,
         &probes,
         classes,
+        &traces,
         &arrivals,
-        |i, r| &traces[i % classes.len()][(i + r) % spec.samples],
+        |i, r| (i + r) % spec.samples,
         Discipline::Serving(spec),
     );
 

@@ -529,7 +529,7 @@ pub fn multi_tenant_sweep(
                 .enumerate()
                 .map(|(i, &id)| (id, &per_tenant[i][j].1))
                 .collect();
-            sim.run(&pairs)
+            sim.run_weighted(&pairs, &vec![1; pairs.len()])
         })
         .collect();
     let shared_latency = Time::from_nanos(

@@ -104,7 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|st| (st.tenant, &traces[st.request.index() as usize]))
             .collect();
-        let report = SharedEventSimulator::new(sched.pool()).run(&pairs);
+        let report =
+            SharedEventSimulator::new(sched.pool()).run_weighted(&pairs, &vec![1; pairs.len()]);
         println!(
             "  round {round}: [{}] {} resident, {} queued, makespan {:.2} us",
             health_map(sched.pool()),

@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let pairs: Vec<(TenantId, &SpikeTrace)> =
         resident.iter().map(|t| t.id).zip(traces.iter()).collect();
-    let shared = SharedEventSimulator::new(&pool).run(&pairs);
+    let shared = SharedEventSimulator::new(&pool).run_weighted(&pairs, &vec![1; pairs.len()]);
     println!(
         "shared replay: {} tenants x {} steps  ->  {:.2} us makespan, bus busy {:.1}% of cycles",
         shared.tenants.len(),

@@ -36,7 +36,7 @@ fn one_tenant_pool_reproduces_dedicated_event_simulator_bit_identically() {
 
     let mut pool = FabricPool::new(cfg);
     let id = pool.admit(&net, "mnist-mlp").unwrap();
-    let shared = SharedEventSimulator::new(&pool).run(&[(id, &trace)]);
+    let shared = SharedEventSimulator::new(&pool).run_weighted(&[(id, &trace)], &[1]);
 
     // Bit-identical, not approximately equal: same ledger (every
     // category), same cycle count, same latency, same per-layer tallies.
@@ -75,7 +75,7 @@ fn tenant_placement_origin_does_not_change_its_energy() {
 
     let dedicated = Mapper::new(cfg).map_network(&net).unwrap();
     let single = EventSimulator::new(&dedicated).run(&trace);
-    let shared = SharedEventSimulator::new(&pool).run(&[(id, &trace)]);
+    let shared = SharedEventSimulator::new(&pool).run_weighted(&[(id, &trace)], &[1]);
     for cat in Category::ALL {
         if matches!(cat, Category::LogicLeakage | Category::MemoryLeakage) {
             continue; // leakage domain differs with a co-resident filler
@@ -125,7 +125,8 @@ fn weighted_qos_with_one_tenant_or_equal_weights_matches_pr4_replay_bit_identica
     // arbitration must be free when unused. One tenant at any weight
     // reproduces the dedicated-fabric EventSimulator (the PR-4
     // contract), and equal weights of any magnitude reproduce the fair
-    // `run()` — full-report equality, stall/latency fields included.
+    // all-1 arbitration — full-report equality, stall/latency fields
+    // included.
     let steps = 30;
     let (net, trace) = mnist_mlp_trace(steps);
     let cfg = ResparcConfig::resparc_64().with_timesteps(steps as u32);
@@ -143,7 +144,7 @@ fn weighted_qos_with_one_tenant_or_equal_weights_matches_pr4_replay_bit_identica
     assert_eq!(weighted.tenants[0].layers, single.layers);
     assert_eq!(weighted.tenants[0].bus_stall_cycles, 0);
     assert_eq!(weighted.tenants[0].latency, single.latency);
-    assert_eq!(weighted, sim.run(&[(id, &trace)]));
+    assert_eq!(weighted, sim.run_weighted(&[(id, &trace)], &[1]));
 
     // Two co-resident tenants, equal weights at different magnitudes.
     let other = Network::random(Topology::mlp(144, &[96, 10]), 9, 1.0);
@@ -155,9 +156,9 @@ fn weighted_qos_with_one_tenant_or_equal_weights_matches_pr4_replay_bit_identica
     let b = duo.admit(&other, "b").unwrap();
     let duo_sim = SharedEventSimulator::new(&duo);
     let pairs = [(a, &trace), (b, &other_trace)];
-    let fair = duo_sim.run(&pairs);
+    let fair = duo_sim.run_weighted(&pairs, &[1, 1]);
     assert_eq!(duo_sim.run_weighted(&pairs, &[4, 4]), fair);
-    assert_eq!(duo_sim.run_weighted(&pairs, &[1, 1]), fair);
+    assert_eq!(duo_sim.run_weighted(&pairs, &[3, 3]), fair);
 }
 
 #[test]
@@ -203,7 +204,7 @@ fn defragmenting_admission_succeeds_where_first_fit_exhausts() {
     let stimulus: Vec<f32> = (0..144).map(|i| (i % 5) as f32 / 4.0).collect();
     let raster = RegularEncoder::new(0.9).encode(&stimulus, 10);
     let (_, trace) = survivor_net.spiking().run_traced(&raster);
-    let before = SharedEventSimulator::new(&pool).run(&[(survivor, &trace)]);
+    let before = SharedEventSimulator::new(&pool).run_weighted(&[(survivor, &trace)], &[1]);
 
     let id = pool
         .admit_topology(&wide, "wide")
@@ -216,7 +217,7 @@ fn defragmenting_admission_succeeds_where_first_fit_exhausts() {
     // new origin, but dynamic charges, tallies and cycles are
     // untouched (leakage now includes the new resident, so compare the
     // per-tenant dynamic slice).
-    let after = SharedEventSimulator::new(&pool).run(&[(survivor, &trace)]);
+    let after = SharedEventSimulator::new(&pool).run_weighted(&[(survivor, &trace)], &[1]);
     assert_eq!(after.tenants[0].energy, before.tenants[0].energy);
     assert_eq!(after.tenants[0].layers, before.tenants[0].layers);
     assert_eq!(after.total_cycles, before.total_cycles);
@@ -283,13 +284,13 @@ fn optimized_placement_and_defragmentation_replay_bit_identically() {
         (p_greedy, &traces[0]),
         (greedy.admitted[1].unwrap(), &traces[1]),
     ];
-    let g_report = SharedEventSimulator::new(&greedy.pool).run(&g_pairs);
+    let g_report = SharedEventSimulator::new(&greedy.pool).run_weighted(&g_pairs, &[1, 1]);
     let o_pairs = [
         (p_opt, &traces[0]),
         (optimized.admitted[1].unwrap(), &traces[1]),
         (optimized.admitted[2].unwrap(), &traces[2]),
     ];
-    let o_report = SharedEventSimulator::new(&optimized.pool).run(&o_pairs);
+    let o_report = SharedEventSimulator::new(&optimized.pool).run_weighted(&o_pairs, &[1, 1, 1]);
     for cat in Category::ALL {
         if matches!(cat, Category::LogicLeakage | Category::MemoryLeakage) {
             continue;
@@ -312,12 +313,12 @@ fn optimized_placement_and_defragmentation_replay_bit_identically() {
         (optimized.admitted[1].unwrap(), &traces[1]),
         (optimized.admitted[2].unwrap(), &traces[2]),
     ];
-    let before = SharedEventSimulator::new(&pool).run(&pairs);
+    let before = SharedEventSimulator::new(&pool).run_weighted(&pairs, &[1, 1]);
     assert!(
         pool.defragment() >= 1,
         "the hole P left must be compacted away"
     );
-    let after = SharedEventSimulator::new(&pool).run(&pairs);
+    let after = SharedEventSimulator::new(&pool).run_weighted(&pairs, &[1, 1]);
     assert_eq!(before, after);
     assert_eq!(
         format!("{before:?}"),

@@ -537,9 +537,9 @@ proptest! {
             .zip(traces.iter())
             .collect();
 
-        let before = SharedEventSimulator::new(&pool).run(&pairs);
+        let before = SharedEventSimulator::new(&pool).run_weighted(&pairs, &vec![1; pairs.len()]);
         pool.defragment();
-        let after = SharedEventSimulator::new(&pool).run(&pairs);
+        let after = SharedEventSimulator::new(&pool).run_weighted(&pairs, &vec![1; pairs.len()]);
         prop_assert_eq!(before, after);
 
         // Compaction invariants: footprints preserved, occupancy is a
@@ -554,8 +554,69 @@ proptest! {
         prop_assert!(pool.occupancy()[occupied..].iter().all(|s| s.is_none()));
     }
 
+    /// The serving loop's replay reuse is exact: interleaving replays of
+    /// each tenant's origin-0 probe equals `run_weighted` over the
+    /// resident, translated tenants, bit for bit — after evictions and a
+    /// `defragment` moved them, under every packing policy, at any
+    /// weights and on both replay engines.
+    #[test]
+    fn probe_replays_interleave_like_resident_replays(
+        shapes in proptest::collection::vec(0usize..3, 1..5),
+        policy in 0usize..3,
+        evict_mask in 0u8..16,
+        weights in proptest::collection::vec(1u32..9, 4),
+        steps in 3usize..7,
+        reference in any::<bool>(),
+    ) {
+        // 1-, 2- and 4-NC MLPs on RESPARC-64.
+        const HIDDENS: [&[usize]; 3] = [&[96, 10], &[576, 576, 10], &[576, 576, 576, 10]];
+        let policy = [PackingPolicy::FirstFit, PackingPolicy::BestFit, PackingPolicy::Defragment]
+            [policy];
+        let engine = if reference { ReplayEngine::Reference } else { ReplayEngine::Plan };
+        let cfg = ResparcConfig::resparc_64();
+        let mapper = Mapper::new(cfg.clone());
+        let mut pool = FabricPool::new(cfg).with_policy(policy);
+        let mut tenants: Vec<(TenantId, Mapping, SpikeTrace)> = Vec::new();
+        for (k, &shape) in shapes.iter().enumerate() {
+            let net = Network::random(Topology::mlp(144, HIDDENS[shape]), 40 + k as u64, 1.0);
+            let probe = mapper.map_network(&net).expect("maps");
+            let stimulus: Vec<f32> = (0..144).map(|i| ((i + k) % 5) as f32 / 4.0).collect();
+            let raster = RegularEncoder::new(0.9).encode(&stimulus, steps);
+            let trace = net.spiking().run_traced(&raster).1;
+            let id = pool.admit_mapped(probe.clone(), &format!("t{k}")).expect("fits");
+            tenants.push((id, probe, trace));
+        }
+        // Evict the masked subset, keeping at least one resident, then
+        // compact the survivors toward NC 0.
+        let mut k = 0;
+        tenants.retain(|(id, _, _)| {
+            k += 1;
+            let evict = evict_mask & (1 << (k - 1)) != 0 && pool.tenants().len() > 1;
+            if evict {
+                pool.evict(*id);
+            }
+            !evict
+        });
+        pool.defragment();
+
+        let weights = &weights[..tenants.len()];
+        let sim = SharedEventSimulator::with_engine(&pool, engine);
+        let traces: Vec<(TenantId, &SpikeTrace)> =
+            tenants.iter().map(|(id, _, trace)| (*id, trace)).collect();
+        let replays: Vec<TraceReplay> = tenants
+            .iter()
+            .map(|(_, probe, trace)| EventSimulator::with_engine(probe, engine).replay(trace))
+            .collect();
+        let reused: Vec<(TenantId, &TraceReplay)> = tenants
+            .iter()
+            .zip(&replays)
+            .map(|((id, _, _), replay)| (*id, replay))
+            .collect();
+        prop_assert_eq!(sim.interleave(&reused, weights), sim.run_weighted(&traces, weights));
+    }
+
     /// Weighted-QoS arbitration at *equal* weights — whatever their
-    /// magnitude — reproduces the fair `run()` (the PR-4
+    /// magnitude — reproduces the fair all-1 arbitration (the PR-4
     /// `SharedEventSimulator` semantics) bit-identically: same ledger,
     /// cycles, latency, and per-tenant stall/latency accounting.
     #[test]
@@ -587,7 +648,7 @@ proptest! {
             ids.iter().copied().zip(traces.iter()).collect();
 
         let sim = SharedEventSimulator::new(&pool);
-        let fair = sim.run(&pairs);
+        let fair = sim.run_weighted(&pairs, &vec![1; count]);
         let weighted = sim.run_weighted(&pairs, &vec![weight; count]);
         prop_assert_eq!(&weighted, &fair);
         // A lone tenant never stalls on an uncontended bus.
@@ -701,8 +762,8 @@ proptest! {
         let mut pool = FabricPool::new(ResparcConfig::resparc_64());
         let id = pool.admit(&net, "t").expect("one small tenant fits");
         let sim = SharedEventSimulator::new(&pool);
-        let report_a = sim.run(&[(id, &trace_a)]);
-        let report_b = sim.run(&[(id, &trace_b)]);
+        let report_a = sim.run_weighted(&[(id, &trace_a)], &[1]);
+        let report_b = sim.run_weighted(&[(id, &trace_b)], &[1]);
         prop_assert_eq!(report_a, report_b, "SharedReport must be bit-identical");
 
         // Sanity: a saturating stuck-at plan is NOT the identity.

@@ -1,4 +1,4 @@
-//! Golden digests of churn and fault-drill reports and of the
+//! Golden digests of churn, fault-drill and serving reports and of the
 //! scheduler's request life cycle.
 //!
 //! Each digest is 64-bit FNV-1a over the bytes of a report's `{:?}`
@@ -13,12 +13,13 @@
 //! fault, drain, restore and cancel sequences, with and without
 //! backfill, so every kind of departure record is pinned.
 //!
-//! Serving reports are left out on purpose: their arrival times go
-//! through the platform's `ln`/`sin`, so a committed float digest could
-//! differ between machines. The churn and drill cases only meet `ln`/`cos`
-//! in `Network::random`'s Box–Muller draws, which are rounded to `f32`, so
-//! a last-bit difference in the platform's math library almost never
-//! reaches them.
+//! The serving cases pin the event-clock path of the same loop. Their
+//! arrival times go through the platform's `ln`/`sin`, so a committed
+//! float digest could differ between math libraries: those digests were
+//! recorded on glibc and the case runs only there. The churn and drill
+//! cases only meet `ln`/`cos` in `Network::random`'s Box–Muller draws,
+//! which are rounded to `f32`, so a last-bit difference in the platform's
+//! math library almost never reaches them.
 
 use resparc_suite::prelude::*;
 
@@ -361,4 +362,80 @@ fn scheduler_life_cycle_matches_golden_digests() {
             check(&case, fnv1a(log.as_bytes()), want);
         }
     }
+}
+
+/// The resbench `serving` classes: 2-, 1- and 4-NC MLPs at bus weights
+/// 4:2:1 with tight, medium and loose SLOs.
+fn serving_mix() -> (Vec<Network>, Vec<ServiceClass>) {
+    let nets = vec![sized_net(2, 31), sized_net(1, 32), sized_net(4, 33)];
+    let classes = vec![
+        ServiceClass::new("premium", 2, 35_000.0).with_weight(4),
+        ServiceClass::new("standard", 3, 250_000.0).with_weight(2),
+        ServiceClass::new("bulk", 4, 1_000_000.0),
+    ];
+    (nets, classes)
+}
+
+/// The resbench `serving` spec at 24 arrivals: bursts of 6, the
+/// adaptive controller and preemption at 8 SLOs.
+fn bursty_spec(seed: u64) -> ServingSpec {
+    ServingSpec::new(24, 3_000.0, ArrivalProcess::Bursty { burst: 6 }, seed)
+        .with_qos(QosPolicy::Adaptive { max_weight: 64 })
+        .with_preemption(8.0)
+}
+
+#[test]
+#[cfg_attr(
+    not(all(target_os = "linux", target_env = "gnu")),
+    ignore = "arrival times go through the platform's ln/sin; digests recorded on glibc"
+)]
+fn serving_runs_match_golden_digests() {
+    // The event-clock path: the resbench shape under every packing
+    // policy, a Poisson run that rejects at a 2-deep strict-FIFO queue
+    // and preempts at one SLO, a diurnal run on a pool gated to 5 %,
+    // and the bursty run again on the reference replay engine (whose
+    // report, by the engines' bit-identity contract, is the plan
+    // engine's).
+    const GOLDEN: [u64; 6] = [
+        0x99cc_bba8_91f8_77b0,
+        0x68d3_7dd8_b781_4660,
+        0x44eb_e5c2_f654_f766,
+        0xb73a_8c92_d9a4_1d67,
+        0x3f4c_09a7_3f39_df30,
+        0x99cc_bba8_91f8_77b0,
+    ];
+    let (nets, classes) = serving_mix();
+    let cfg = SweepConfig::rate(16, 0.7, 7);
+    let pool = ResparcConfig::resparc_64();
+    let run = |spec: &ServingSpec, policy| {
+        serving_sweep(&nets, &classes, spec, &cfg, &pool, policy).unwrap()
+    };
+    for (policy, want) in POLICIES.into_iter().zip(GOLDEN) {
+        let report = run(&bursty_spec(5), policy);
+        assert_eq!(report.completed, 24);
+        check(&format!("bursty {policy:?}"), digest(&report), want);
+    }
+    let poisson = ServingSpec::new(20, 1_000.0, ArrivalProcess::Poisson, 9)
+        .with_max_queue(2)
+        .with_backfill_window(0)
+        .with_preemption(1.0);
+    let report = run(&poisson, PackingPolicy::FirstFit);
+    assert!(report.rejected > 0 && report.preempted > 0);
+    check("poisson", digest(&report), GOLDEN[3]);
+    let diurnal = ServingSpec::new(
+        18,
+        4_000.0,
+        ArrivalProcess::Diurnal {
+            period_ns: 40_000.0,
+            amplitude: 0.9,
+        },
+        13,
+    )
+    .with_idle_gating(0.05);
+    let report = run(&diurnal, PackingPolicy::BestFit);
+    assert!(report.gating_saving() > 0.0);
+    check("diurnal", digest(&report), GOLDEN[4]);
+    let reference = bursty_spec(5).with_replay_engine(ReplayEngine::Reference);
+    let report = run(&reference, PackingPolicy::FirstFit);
+    check("bursty reference", digest(&report), GOLDEN[5]);
 }

@@ -96,9 +96,11 @@ fn bench_event_replay(c: &mut Criterion) {
 
 /// The rebar-style engine barometer's criterion face: every replay
 /// engine (stationary analytic, scalar reference, word-level plan) over
-/// two poles of the shared corpus — the dense rate trace and the sparse
-/// TTFS trace. One comparable id per engine×workload; the full
-/// five-trace corpus with JSON rows lives in the `barometer` binary
+/// three points of the shared corpus — the dense rate trace, the sparse
+/// TTFS trace and the all-silent trace. One comparable id per
+/// engine×workload; the plan engine's cost follows spikes, so CI gates
+/// its TTFS and silent ids against its dense one. The full five-trace
+/// corpus with JSON rows lives in the `barometer` binary
 /// (`cargo run --release -p resparc-bench --bin barometer`).
 fn bench_barometer(c: &mut Criterion) {
     let net = mnist_mlp_net();
@@ -109,9 +111,14 @@ fn bench_barometer(c: &mut Criterion) {
     let stimulus = mnist_stimulus();
     let dense_raster = PoissonEncoder::new(0.8, 5).encode(&stimulus, STEPS);
     let ttfs_raster = TtfsEncoder::new().encode(&stimulus, STEPS);
+    let dense = net.spiking().run_traced(&dense_raster).1;
+    let boundary_sizes: Vec<usize> = (0..dense.boundary_count())
+        .map(|b| dense.boundary(b).neurons())
+        .collect();
     let corpus = [
-        ("dense_rate", net.spiking().run_traced(&dense_raster).1),
+        ("dense_rate", dense),
         ("ttfs", net.spiking().run_traced(&ttfs_raster).1),
+        ("silent", SpikeTrace::silent(&boundary_sizes, STEPS)),
     ];
 
     let mut group = c.benchmark_group("barometer");

@@ -58,26 +58,39 @@
 //!
 //! # Replay engines
 //!
-//! The only hot decision inside the walk is *how a tile's packet windows
-//! are counted against the step's input spikes*. [`ReplayEngine`] selects
-//! the implementation:
+//! The only hot decision inside the walk is *which packet windows are
+//! counted against the step's input spikes, and how*. [`ReplayEngine`]
+//! selects the implementation:
 //!
-//! * [`ReplayEngine::Reference`] — the scalar row walk: one bit test per
-//!   occupied row (`rows.chunks(packet_bits)` over `tile_rows`). Simple,
-//!   obviously correct, and the oracle the fast path is checked against.
+//! * [`ReplayEngine::Reference`] — the scalar row walk: every tile, every
+//!   window, one bit test per occupied row (`rows.chunks(packet_bits)`
+//!   over `tile_rows`). Simple, obviously correct, and the oracle the
+//!   fast path is checked against. Its cost does not depend on activity.
 //! * [`ReplayEngine::Plan`] (default) — the compiled word-level plan
 //!   ([`ReplayPlan`](crate::sim::plan::ReplayPlan), cached on the
 //!   [`Mapping`]): each window is pre-lowered to word/mask operations on
 //!   the trace's packed words, so counting a window is an AND + popcount
 //!   (or two shifted words for contiguous runs) instead of up to
-//!   `packet_bits` bit probes.
+//!   `packet_bits` bit probes. Its cost follows spikes: for each step it
+//!   visits only the windows the plan's inverse index lists under a
+//!   non-zero input word, counting each once (a per-step stamp), and
+//!   charges a delivered window to its tile through the plan's owner
+//!   table, reading each tile at most once per step. Every window it
+//!   does not visit counts zero, so the walk tallies those in closed
+//!   form: each tile has `steps × windows` candidates, a step skips the
+//!   reads of every tile it did not read, and with event-driven
+//!   operation off every window is delivered and every tile reads.
 //!
-//! Both engines feed the *identical* accounting body with the per-window
-//! active counts they derive; since every count is an integer and the
-//! charge order is unchanged, the two engines produce **bit-identical**
-//! [`EventReport`]s (and, through the shared/fault/serving layers built
-//! on [`EventSimulator::replay`], bit-identical reports everywhere) — a
-//! contract the unit tests here and `tests/trace_event.rs` proptests pin.
+//! Both engines feed the *identical* accounting body with the integer
+//! tallies they derive, and the body's per-step shortcuts are exact: a
+//! silent input step moves no bus packet, a silent output step emits no
+//! packet, and a tile that never read is not priced (it would add +0.0).
+//! Since every count is an integer and the f64 charges keep their order,
+//! the two engines produce **bit-identical** [`EventReport`]s (and,
+//! through the shared/fault/serving layers built on
+//! [`EventSimulator::replay`], bit-identical reports everywhere) — a
+//! contract the unit tests here and the `tests/proptests.rs` and
+//! `tests/trace_event.rs` proptests pin.
 //!
 //! [`SpikeTrace`]: resparc_neuro::trace::SpikeTrace
 
@@ -90,7 +103,7 @@ use resparc_neuro::trace::SpikeTrace;
 
 use crate::map::Mapping;
 use crate::sim::cost::{self, AVG_SWITCH_HOPS, CCU_TRANSFER_BITS, TARGET_ADDRESS_BITS};
-use crate::sim::plan::WindowPlan;
+use crate::sim::plan::LayerPlan;
 
 /// Which window-counting implementation the replay core uses. Both
 /// engines are bit-identical in every report they produce (see the
@@ -372,9 +385,9 @@ pub struct TraceReplay {
     pub(crate) layers: Vec<EventLayerStats>,
 }
 
-/// One tile's packet-window scan for one timestep: the per-window counts
-/// both replay engines reduce to before the shared accounting body runs.
-/// Integer counts + identical reduction = bit-identical reports.
+/// One tile's packet-window scan for one timestep in the reference walk:
+/// the integer counts it reduces to before the shared accounting body
+/// runs.
 struct TileScan {
     /// Packet windows examined (zero-check opportunities).
     windows: u64,
@@ -411,28 +424,75 @@ fn scan_tile_reference(
     scan
 }
 
-/// Plan engine: AND + popcount per pre-lowered window.
-#[inline]
-fn scan_tile_plan(
-    windows: &[WindowPlan],
-    masks: &[(u32, u64)],
-    words: &[u64],
+/// Plan engine's walk over one layer: per step, only the windows the
+/// inverse index lists under a non-zero input word. Each window and each
+/// tile keeps the last step (plus one) that reached it, so a step counts
+/// a window once however many of its words spike, and reads a tile once
+/// however many of its windows are delivered.
+struct PlanWalk<'p> {
+    plan: &'p LayerPlan,
     event_driven: bool,
-) -> TileScan {
-    let mut scan = TileScan {
-        windows: 0,
-        delivered: 0,
-        active: 0,
-    };
-    for w in windows {
-        let window_active = w.count(words, masks);
-        scan.windows += 1;
-        scan.active += window_active;
-        if window_active > 0 || !event_driven {
-            scan.delivered += 1;
+    window_seen: Vec<usize>,
+    tile_seen: Vec<usize>,
+}
+
+impl<'p> PlanWalk<'p> {
+    fn new(plan: &'p LayerPlan, event_driven: bool) -> Self {
+        Self {
+            plan,
+            event_driven,
+            window_seen: vec![0; plan.windows().len()],
+            tile_seen: vec![0; plan.tile_count()],
         }
     }
-    scan
+
+    /// Counts step `t`'s windows against its input `words`, adds each
+    /// non-zero window's active rows to its tile and, when event-driven,
+    /// delivers it and reads its tile. Returns the step's
+    /// `(delivered windows, tile reads)`; with event-driven operation off
+    /// that is every window and every tile, and the caller tallies the
+    /// per-tile deliveries and reads in closed form.
+    fn step(
+        &mut self,
+        t: usize,
+        words: &[u64],
+        delivered: &mut [u64],
+        reads: &mut [u64],
+        active_rows: &mut [u64],
+    ) -> (u64, u64) {
+        let lp = self.plan;
+        let stamp = t + 1;
+        let (mut delivered_step, mut reads_step) = (0u64, 0u64);
+        for (w, _) in words.iter().enumerate().filter(|&(_, &bits)| bits != 0) {
+            for &wi in lp.word_windows(w) {
+                let wi = wi as usize;
+                if self.window_seen[wi] == stamp {
+                    continue;
+                }
+                self.window_seen[wi] = stamp;
+                let active = lp.windows()[wi].count(words, lp.masks());
+                if active == 0 {
+                    continue;
+                }
+                let ti = lp.owner(wi);
+                active_rows[ti] += active;
+                if self.event_driven {
+                    delivered[ti] += 1;
+                    delivered_step += 1;
+                    if self.tile_seen[ti] != stamp {
+                        self.tile_seen[ti] = stamp;
+                        reads[ti] += 1;
+                        reads_step += 1;
+                    }
+                }
+            }
+        }
+        if self.event_driven {
+            (delivered_step, reads_step)
+        } else {
+            (lp.windows().len() as u64, lp.tile_count() as u64)
+        }
+    }
 }
 
 /// Replays `trace` through `mapping` and returns the dynamic charges and
@@ -476,11 +536,6 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
         let mag = mapping.mean_weight_mags[l];
         let in_raster = trace.boundary(l);
         let out_raster = trace.boundary(l + 1);
-        let tile_costs: Vec<cost::TileReadCost> = part
-            .tiles
-            .iter()
-            .map(|t| cost::tile_read_cost(&mca, t, n, mag))
-            .collect();
         let switch_capacity = (cfg.switches_per_nc() * span.nc_count().max(1)) as f64;
         let crosses = mapping.placement.boundary_crosses_nc(l) && (l == 0 || part.max_degree > 1);
 
@@ -494,32 +549,35 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
         let mut reads_skipped = 0u64;
         let mut bus_packets_total = 0u64;
         let mut out_packets_delivered = 0u64;
+        let mut plan_walk = layer_plan.map(|lp| PlanWalk::new(lp, cfg.event_driven));
 
         for (t, in_spikes) in in_raster.iter().enumerate() {
-            let mut deliveries_step = 0u64;
-            let mut reads_step = 0u64;
-            for (ti, rows) in part.tile_rows.iter().enumerate() {
-                let scan = match layer_plan {
-                    Some(lp) => scan_tile_plan(
-                        lp.tile_windows(ti),
-                        lp.masks(),
-                        in_spikes.words(),
-                        cfg.event_driven,
-                    ),
-                    None => scan_tile_reference(rows, pkt, in_spikes, cfg.event_driven),
-                };
-                per_tile_candidates[ti] += scan.windows;
-                per_tile_delivered[ti] += scan.delivered;
-                deliveries_step += scan.delivered;
-                if scan.active > 0 || !cfg.event_driven {
-                    per_tile_reads[ti] += 1;
-                    per_tile_active_rows[ti] += scan.active;
-                    reads_step += 1;
-                } else {
-                    reads_skipped += 1;
+            let (deliveries_step, reads_step) = match plan_walk.as_mut() {
+                Some(walk) => walk.step(
+                    t,
+                    in_spikes.words(),
+                    &mut per_tile_delivered,
+                    &mut per_tile_reads,
+                    &mut per_tile_active_rows,
+                ),
+                None => {
+                    let (mut deliveries_step, mut reads_step) = (0u64, 0u64);
+                    for (ti, rows) in part.tile_rows.iter().enumerate() {
+                        let scan = scan_tile_reference(rows, pkt, in_spikes, cfg.event_driven);
+                        per_tile_candidates[ti] += scan.windows;
+                        per_tile_delivered[ti] += scan.delivered;
+                        deliveries_step += scan.delivered;
+                        if scan.active > 0 || !cfg.event_driven {
+                            per_tile_reads[ti] += 1;
+                            per_tile_active_rows[ti] += scan.active;
+                            reads_step += 1;
+                        }
+                    }
+                    (deliveries_step, reads_step)
                 }
-            }
+            };
             reads_performed += reads_step;
+            reads_skipped += tiles as u64 - reads_step;
             comm_cycles[t] =
                 comm_cycles[t].max((deliveries_step as f64 / switch_capacity).ceil() as u64);
             if reads_step > 0 {
@@ -529,12 +587,14 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
             // --- Bus + input SRAM (inter-NC boundary) ---------------
             if crosses {
                 let windows = (part.inputs as usize).div_ceil(pkt) as u64;
-                let moved = if cfg.event_driven {
+                let moved = if !cfg.event_driven {
+                    windows
+                } else if in_spikes.is_silent() {
+                    0
+                } else {
                     (0..windows as usize)
                         .filter(|&w| !in_spikes.window_is_zero(w * pkt, pkt))
                         .count() as u64
-                } else {
-                    windows
                 };
                 let trips = if l == 0 { 1u64 } else { 2 };
                 energy.charge(
@@ -564,6 +624,21 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
             out_packets_delivered += delivered_windows(out_raster.step(t), pkt);
         }
 
+        // The plan walk never visits a window no spike reaches: every
+        // window is a candidate each step, and with event-driven
+        // operation off every window is delivered and every tile reads.
+        if let Some(lp) = layer_plan {
+            let steps = steps as u64;
+            for ti in 0..tiles {
+                let windows = lp.tile_windows(ti).len() as u64;
+                per_tile_candidates[ti] = steps * windows;
+                if !cfg.event_driven {
+                    per_tile_delivered[ti] = steps * windows;
+                    per_tile_reads[ti] = steps;
+                }
+            }
+        }
+
         // --- Spike distribution (switch network + buffers) ----------
         let candidates: u64 = per_tile_candidates.iter().sum();
         let delivered: u64 = per_tile_delivered.iter().sum();
@@ -588,8 +663,13 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
         let mut crossbar_e = Energy::ZERO;
         let mut integrations = 0u64;
         for (ti, tile) in part.tiles.iter().enumerate() {
-            crossbar_e += tile_costs[ti].fixed * per_tile_reads[ti] as f64
-                + tile_costs[ti].per_active_row * per_tile_active_rows[ti] as f64;
+            // A tile that never reads has no active rows and would add
+            // +0.0, so only reading tiles are priced.
+            if per_tile_reads[ti] > 0 {
+                let cost = cost::tile_read_cost(&mca, tile, n, mag);
+                crossbar_e += cost.fixed * per_tile_reads[ti] as f64
+                    + cost.per_active_row * per_tile_active_rows[ti] as f64;
+            }
             integrations += tile.cols as u64 * per_tile_reads[ti];
         }
         energy.charge(Category::Crossbar, crossbar_e);
@@ -650,6 +730,9 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
 /// packets a boundary actually emits this timestep. Word-masked (one
 /// zero test per touched word), identical for both replay engines.
 fn delivered_windows(spikes: SpikeView<'_>, width: usize) -> u64 {
+    if spikes.is_silent() {
+        return 0;
+    }
     let windows = spikes.len().div_ceil(width);
     (0..windows)
         .filter(|&w| !spikes.window_is_zero(w * width, width))

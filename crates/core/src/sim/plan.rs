@@ -1,7 +1,8 @@
 //! The compiled word-level replay plan: per-[`Mapping`] lowering of every
 //! layer's `tile_rows` packet windows onto the bit-packed words of the
 //! spike trace, so event replay counts a window's active rows with AND +
-//! popcount instead of one scalar bit test per row.
+//! popcount instead of one scalar bit test per row, and visits only the
+//! windows a step's spikes can reach.
 //!
 //! # Plan layout
 //!
@@ -26,6 +27,24 @@
 //! replay engines derive from a plan is an integer, which is what makes
 //! the plan engine's energy ledger bit-identical to the reference
 //! engine's (see [`super::event`]).
+//!
+//! # Activity index
+//!
+//! Two more tables make the plan engine's cost follow spikes:
+//!
+//! * the **owner table** — the tile each window belongs to, parallel to
+//!   the windows array;
+//! * the **inverse index** — for each input word of the layer, the
+//!   windows whose count reads it (CSR: `word_ranges` into
+//!   `word_windows`). A `Run` is listed under `word`, and under
+//!   `word + 1` when it spans two words; a `Masks` window under each
+//!   distinct word of its mask pairs.
+//!
+//! A window whose words are all zero counts zero, so a step visits only
+//! the windows listed under its non-zero words; the event walk tallies
+//! every other window (zero-checked, not delivered, no active rows) in
+//! closed form. Both tables are built by counting passes in
+//! [`ReplayPlan::compile`].
 //!
 //! The plan depends only on the mapping's `partitions` and
 //! `config.packet_bits` — not on placement — so pool-compaction placement
@@ -86,6 +105,24 @@ impl WindowPlan {
                 .sum(),
         }
     }
+
+    /// Calls `f` with each distinct trace word [`count`](Self::count)
+    /// reads, in ascending order.
+    fn for_each_word(&self, masks: &[(u32, u64)], mut f: impl FnMut(u32)) {
+        match *self {
+            WindowPlan::Run {
+                word, spans_two, ..
+            } => {
+                f(word);
+                if spans_two {
+                    f(word + 1);
+                }
+            }
+            WindowPlan::Masks { start, end } => masks[start as usize..end as usize]
+                .iter()
+                .for_each(|&(w, _)| f(w)),
+        }
+    }
 }
 
 /// The lowered packet windows of one layer.
@@ -96,15 +133,88 @@ pub(crate) struct LayerPlan {
     tile_ranges: Vec<u32>,
     /// All tiles' windows, flattened in tile order.
     windows: Vec<WindowPlan>,
+    /// Owning tile of each window (parallel to `windows`).
+    owners: Vec<u32>,
+    /// CSR ranges of the inverse index: the windows whose count reads
+    /// input word `w` are `word_windows[word_ranges[w]..word_ranges[w + 1]]`.
+    word_ranges: Vec<u32>,
+    /// Window indices, grouped by the input word they read.
+    word_windows: Vec<u32>,
     /// Shared `(word, mask)` pool for the [`WindowPlan::Masks`] windows.
     masks: Vec<(u32, u64)>,
 }
 
 impl LayerPlan {
+    /// Lowers one layer's tile windows and builds its owner table and
+    /// inverse index for a layer of `inputs` input neurons.
+    fn lower(tile_rows: &[Vec<u32>], inputs: usize, pkt: usize) -> Self {
+        let mut tile_ranges = Vec::with_capacity(tile_rows.len() + 1);
+        tile_ranges.push(0u32);
+        let window_total = tile_rows.iter().map(|rows| rows.len().div_ceil(pkt)).sum();
+        let mut windows = Vec::with_capacity(window_total);
+        let mut owners = Vec::with_capacity(window_total);
+        let mut masks: Vec<(u32, u64)> = Vec::new();
+        for (ti, rows) in tile_rows.iter().enumerate() {
+            for window in rows.chunks(pkt) {
+                windows.push(lower_window(window, &mut masks));
+                owners.push(ti as u32);
+            }
+            tile_ranges.push(windows.len() as u32);
+        }
+
+        // Inverse index by counting: count each word's windows, turn the
+        // counts into CSR starts, then fill through a per-word cursor.
+        let words = inputs.div_ceil(64);
+        let mut word_ranges = vec![0u32; words + 1];
+        for w in &windows {
+            w.for_each_word(&masks, |word| word_ranges[word as usize + 1] += 1);
+        }
+        for i in 1..=words {
+            word_ranges[i] += word_ranges[i - 1];
+        }
+        let mut cursor = word_ranges[..words].to_vec();
+        let mut word_windows = vec![0u32; word_ranges[words] as usize];
+        for (wi, w) in windows.iter().enumerate() {
+            w.for_each_word(&masks, |word| {
+                let slot = &mut cursor[word as usize];
+                word_windows[*slot as usize] = wi as u32;
+                *slot += 1;
+            });
+        }
+
+        LayerPlan {
+            tile_ranges,
+            windows,
+            owners,
+            word_ranges,
+            word_windows,
+            masks,
+        }
+    }
+
     /// The windows of tile `ti`, in the scalar engine's scan order.
     #[inline]
     pub(crate) fn tile_windows(&self, ti: usize) -> &[WindowPlan] {
         &self.windows[self.tile_ranges[ti] as usize..self.tile_ranges[ti + 1] as usize]
+    }
+
+    /// All tiles' windows, flattened in tile order (the indices
+    /// [`word_windows`](Self::word_windows) lists).
+    #[inline]
+    pub(crate) fn windows(&self) -> &[WindowPlan] {
+        &self.windows
+    }
+
+    /// The tile that owns window `wi`.
+    #[inline]
+    pub(crate) fn owner(&self, wi: usize) -> usize {
+        self.owners[wi] as usize
+    }
+
+    /// The windows whose count reads input word `w`.
+    #[inline]
+    pub(crate) fn word_windows(&self, w: usize) -> &[u32] {
+        &self.word_windows[self.word_ranges[w] as usize..self.word_ranges[w + 1] as usize]
     }
 
     /// The layer's shared mask pool.
@@ -129,30 +239,15 @@ pub struct ReplayPlan {
 
 impl ReplayPlan {
     /// Lowers every layer's `tile_rows` windows against the mapping's
-    /// packet width. Placement-independent: only `mapping.partitions` and
+    /// packet width, with each layer's owner table and inverse index.
+    /// Placement-independent: only `mapping.partitions` and
     /// `mapping.config.packet_bits` are read.
     pub fn compile(mapping: &Mapping) -> Self {
         let pkt = mapping.config.packet_bits as usize;
         let layers = mapping
             .partitions
             .iter()
-            .map(|part| {
-                let mut tile_ranges = Vec::with_capacity(part.tile_rows.len() + 1);
-                tile_ranges.push(0u32);
-                let mut windows = Vec::new();
-                let mut masks: Vec<(u32, u64)> = Vec::new();
-                for rows in &part.tile_rows {
-                    for window in rows.chunks(pkt) {
-                        windows.push(lower_window(window, &mut masks));
-                    }
-                    tile_ranges.push(windows.len() as u32);
-                }
-                LayerPlan {
-                    tile_ranges,
-                    windows,
-                    masks,
-                }
-            })
+            .map(|part| LayerPlan::lower(&part.tile_rows, part.inputs as usize, pkt))
             .collect();
         Self {
             layers,
@@ -359,6 +454,72 @@ mod tests {
             w.count(spikes.words(), &masks),
             scalar_count(&rows, &spikes)
         );
+    }
+
+    /// Checks the owner table and the inverse index of every layer of
+    /// `mapping`; returns how many `Run` windows straddle two words.
+    fn assert_index_is_exact(mapping: &Mapping) -> usize {
+        let plan = ReplayPlan::compile(mapping);
+        let mut spanning = 0;
+        for (l, part) in mapping.partitions.iter().enumerate() {
+            let lp = plan.layer(l);
+            let owners: Vec<usize> = (0..lp.windows().len()).map(|wi| lp.owner(wi)).collect();
+            let tiles: Vec<usize> = (0..lp.tile_count())
+                .flat_map(|ti| std::iter::repeat_n(ti, lp.tile_windows(ti).len()))
+                .collect();
+            assert_eq!(owners, tiles, "layer {l}: owner table");
+            // A window reads word `w` exactly when it counts rows with
+            // only that word's bits set.
+            let words = (part.inputs as usize).div_ceil(64);
+            for w in 0..words {
+                let mut probe = vec![0u64; words];
+                probe[w] = u64::MAX;
+                let reads: Vec<u32> = (0..lp.windows().len())
+                    .filter(|&wi| lp.windows()[wi].count(&probe, lp.masks()) > 0)
+                    .map(|wi| wi as u32)
+                    .collect();
+                assert_eq!(lp.word_windows(w), &reads[..], "layer {l} word {w}");
+            }
+            spanning += lp
+                .windows()
+                .iter()
+                .filter(|w| {
+                    matches!(
+                        w,
+                        WindowPlan::Run {
+                            spans_two: true,
+                            ..
+                        }
+                    )
+                })
+                .count();
+        }
+        spanning
+    }
+
+    #[test]
+    fn inverse_index_lists_each_window_under_exactly_the_words_it_reads() {
+        let conv = Topology::builder(Shape::new(12, 12, 1))
+            .conv(6, 3, Padding::Same, ChannelTable::Full)
+            .pool(2)
+            .conv(4, 3, Padding::Valid, ChannelTable::Banded { fan: 2 })
+            .dense(10)
+            .build()
+            .unwrap();
+        let mlp = Topology::mlp(200, &[150, 10]);
+        let mut spanning = 0;
+        for topology in [&mlp, &conv] {
+            // MCA 100 and 128 put runs off 64-bit word boundaries.
+            for mca in [32, 64, 100, 128] {
+                for pkt in [8u32, 24, 64, 100, 128] {
+                    let mut cfg = ResparcConfig::with_mca_size(mca);
+                    cfg.packet_bits = pkt;
+                    let mapping = Mapper::new(cfg).map(topology).unwrap();
+                    spanning += assert_index_is_exact(&mapping);
+                }
+            }
+        }
+        assert!(spanning > 0, "no case has a run straddling two words");
     }
 
     #[test]

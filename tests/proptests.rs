@@ -1042,50 +1042,6 @@ proptest! {
         prop_assert_eq!(v.view().window_is_zero(start, width), naive == 0);
     }
 
-    /// The tentpole contract end-to-end: the compiled word-level plan
-    /// engine reproduces the scalar reference engine bit for bit — the
-    /// dedicated [`EventReport`], and the weighted multi-tenant
-    /// [`SharedReport`] built from the same replay core — on random
-    /// networks, rates and packet widths, with traces captured from
-    /// clean and stuck-at-faulted kernels alike.
-    #[test]
-    fn plan_replay_engine_is_bit_identical_to_reference(
-        hidden in 8usize..150,
-        inputs in 16usize..200,
-        steps in 3usize..10,
-        rate in 0.0f32..1.0,
-        mca_32 in proptest::prelude::any::<bool>(),
-        fault_fraction in 0.0f64..0.3,
-        weight in 1u32..8,
-        seed in 0u64..1_000_000,
-    ) {
-        use resparc_suite::resparc_core::sim::event::{EventSimulator, ReplayEngine};
-        use resparc_suite::resparc_neuro::network::SnnRunner;
-
-        let net = Network::random(Topology::mlp(inputs, &[hidden, 10]), seed, 1.0);
-        let stimulus: Vec<f32> = (0..inputs).map(|i| rate * ((i % 5) as f32 / 4.0)).collect();
-        let raster = RegularEncoder::new(1.0).encode(&stimulus, steps);
-        // Replay a trace from the faulted kernels too: fault plans only
-        // change *what* the trace records, never how it is counted.
-        let faulted = net.compiled().with_faults(&FaultPlan::stuck_at(seed, fault_fraction));
-        let (_, trace) = SnnRunner::from_compiled(std::sync::Arc::new(faulted)).run_traced(&raster);
-
-        let cfg = if mca_32 { ResparcConfig::resparc_32() } else { ResparcConfig::resparc_64() };
-        let mapping = Mapper::new(cfg.clone()).map_network(&net).expect("mlp maps");
-        let reference = EventSimulator::with_engine(&mapping, ReplayEngine::Reference).run(&trace);
-        let plan = EventSimulator::with_engine(&mapping, ReplayEngine::Plan).run(&trace);
-        prop_assert_eq!(&reference, &plan, "dedicated EventReport must be bit-identical");
-
-        let mut pool = FabricPool::new(cfg);
-        let id = pool.admit(&net, "t").expect("one small tenant fits");
-        let pairs = [(id, &trace)];
-        let shared_ref = SharedEventSimulator::with_engine(&pool, ReplayEngine::Reference)
-            .run_weighted(&pairs, &[weight]);
-        let shared_plan = SharedEventSimulator::with_engine(&pool, ReplayEngine::Plan)
-            .run_weighted(&pairs, &[weight]);
-        prop_assert_eq!(&shared_ref, &shared_plan, "weighted SharedReport must be bit-identical");
-    }
-
     /// The PR-4/PR-6 admission invariants extended to heterogeneous
     /// inventories: on a pool of mixed MCA size classes (with an
     /// optional failed cell), every resident occupies an in-bounds,
@@ -1255,5 +1211,110 @@ proptest! {
             }
             prop_assert_eq!(owned, placed.occupied_ncs());
         }
+    }
+}
+
+proptest! {
+    // Only a few MCA size × packet width pairs make windows straddle two
+    // trace words, so the plan/reference contract draws more cases.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The replay-engine contract end to end: the compiled word-level plan
+    /// engine reproduces the scalar reference engine bit for bit — the
+    /// dedicated [`EventReport`], and the weighted multi-tenant
+    /// [`SharedReport`] built from the same replay core — on random MLP
+    /// and small conv/pool networks, MCA sizes, packet widths (windows
+    /// that straddle two words, and windows wider than 64) and
+    /// event-driven settings. Each trace chains TTFS, bursty-head, silent
+    /// and regular-rate segments, so one trace mixes silent, sparse and
+    /// dense steps; traces come from clean and stuck-at-faulted kernels
+    /// alike, and an all-silent trace is replayed too.
+    #[test]
+    fn plan_replay_engine_is_bit_identical_to_reference(
+        conv in any::<bool>(),
+        hidden in 8usize..150,
+        inputs in 16usize..200,
+        side in 4usize..13,
+        maps in 1usize..5,
+        same_padding in any::<bool>(),
+        segments in proptest::collection::vec((0u8..4, 1usize..6, 0u32..16), 1..4),
+        rate in 0.0f32..1.0,
+        mca in prop_oneof![Just(24usize), Just(32), Just(64), Just(100), Just(128)],
+        packet_bits in prop_oneof![Just(8u32), Just(24), Just(64), Just(100), Just(128)],
+        event_driven in any::<bool>(),
+        fault_fraction in 0.0f64..0.3,
+        weight in 1u32..8,
+        seed in 0u64..1_000_000,
+    ) {
+        use resparc_suite::resparc_core::sim::event::{EventSimulator, ReplayEngine};
+        use resparc_suite::resparc_neuro::network::SnnRunner;
+        use resparc_suite::resparc_neuro::trace::SpikeTrace;
+
+        let topology = if conv {
+            let padding = if same_padding { Padding::Same } else { Padding::Valid };
+            Topology::builder(Shape::new(side, side, 1))
+                .conv(maps, 3, padding, ChannelTable::Full)
+                .pool(2)
+                .dense(10)
+                .build()
+                .expect("consistent")
+        } else {
+            Topology::mlp(inputs, &[hidden, 10])
+        };
+        let n_in = topology.input_count();
+        let net = Network::random(topology, seed, 1.0);
+        let mut raster = SpikeRaster::new(n_in);
+        for &(kind, len, lit_words) in &segments {
+            // Light a random subset of the (at most four) input words, so
+            // silent words sit next to spiking ones.
+            let stimulus: Vec<f32> = (0..n_in)
+                .map(|i| {
+                    let lit = (lit_words >> (i / 64)) & 1 == 1;
+                    if lit { rate * ((i % 5) as f32 / 4.0) } else { 0.0 }
+                })
+                .collect();
+            let segment = match kind {
+                0 => TtfsEncoder::new().encode(&stimulus, len),
+                1 => {
+                    // Dense head, silent tail.
+                    let head = len.div_ceil(4);
+                    let mut burst = RegularEncoder::new(1.0).encode(&stimulus, head);
+                    for _ in head..len {
+                        burst.push(SpikeVector::new(n_in));
+                    }
+                    burst
+                }
+                2 => SpikeRaster::zeroed(n_in, len),
+                _ => RegularEncoder::new(1.0).encode(&stimulus, len),
+            };
+            for step in segment.iter() {
+                raster.push_view(step);
+            }
+        }
+        // Replay a trace from the faulted kernels too: fault plans only
+        // change *what* the trace records, never how it is counted.
+        let faulted = net.compiled().with_faults(&FaultPlan::stuck_at(seed, fault_fraction));
+        let (_, trace) = SnnRunner::from_compiled(std::sync::Arc::new(faulted)).run_traced(&raster);
+        let boundaries: Vec<usize> =
+            (0..trace.boundary_count()).map(|b| trace.boundary(b).neurons()).collect();
+        let silent = SpikeTrace::silent(&boundaries, trace.steps());
+
+        let mut cfg = ResparcConfig::with_mca_size(mca).with_event_driven(event_driven);
+        cfg.packet_bits = packet_bits;
+        let mapping = Mapper::new(cfg.clone()).map_network(&net).expect("small networks map");
+        for (name, trace) in [("mixed", &trace), ("silent", &silent)] {
+            let reference = EventSimulator::with_engine(&mapping, ReplayEngine::Reference).run(trace);
+            let plan = EventSimulator::with_engine(&mapping, ReplayEngine::Plan).run(trace);
+            prop_assert_eq!(&reference, &plan, "{} trace: dedicated EventReport must be bit-identical", name);
+        }
+
+        let mut pool = FabricPool::new(cfg);
+        let id = pool.admit(&net, "t").expect("one small tenant fits");
+        let pairs = [(id, &trace)];
+        let shared_ref = SharedEventSimulator::with_engine(&pool, ReplayEngine::Reference)
+            .run_weighted(&pairs, &[weight]);
+        let shared_plan = SharedEventSimulator::with_engine(&pool, ReplayEngine::Plan)
+            .run_weighted(&pairs, &[weight]);
+        prop_assert_eq!(&shared_ref, &shared_plan, "weighted SharedReport must be bit-identical");
     }
 }

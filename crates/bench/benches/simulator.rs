@@ -41,22 +41,22 @@ fn bench_mapper(c: &mut Criterion) {
         })
     });
     // The general path (connectivity matrix + column packing, then
-    // placement) on the same layers: the ratio gate's denominator for
-    // the dense grid tiler `mnist_mlp_64` takes.
+    // placement) on the same layers: the ratio gates' denominators for
+    // the routes `Mapper::map` takes instead — the dense grid tiler for
+    // every MLP layer, the geometry-streamed packer for conv/pool layers.
     let config = ResparcConfig::resparc_64();
     let options = PartitionOptions::new(config.mca_size);
+    let general = |topology: &Topology| {
+        let partitions: Vec<_> = topology
+            .layers()
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| partition_layer(&ConnectivityMatrix::from_layer(spec), i, &options))
+            .collect();
+        place(&partitions, &config)
+    };
     group.bench_function("mnist_mlp_64_general", |b| {
-        b.iter(|| {
-            let partitions: Vec<_> = black_box(&mlp)
-                .layers()
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    partition_layer(&ConnectivityMatrix::from_layer(spec), i, &options)
-                })
-                .collect();
-            place(&partitions, &config)
-        })
+        b.iter(|| general(black_box(&mlp)))
     });
     let cnn = resparc_suite::resparc_workloads::mnist_cnn().topology;
     group.bench_function("mnist_cnn_64", |b| {
@@ -65,6 +65,9 @@ fn bench_mapper(c: &mut Criterion) {
                 .map(black_box(&cnn))
                 .unwrap()
         })
+    });
+    group.bench_function("mnist_cnn_64_general", |b| {
+        b.iter(|| general(black_box(&cnn)))
     });
     group.finish();
 }

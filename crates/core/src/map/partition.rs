@@ -15,16 +15,22 @@
 //!
 //! [`partition_spec`] picks the route by layer kind. Dense layers are
 //! grid-tiled directly from their shape, with no connectivity matrix, at
-//! a cost independent of their synapse count. Conv/pool layers take the
-//! general path, [`partition_layer`], which packs a [`ConnectivityMatrix`]
-//! column by column at O(1) work per synapse; it is also the oracle the
-//! dense tiler is tested against.
+//! a cost independent of their synapse count. Conv/pool layers are packed
+//! straight from their geometry: each output's sorted receptive field is
+//! streamed from [`LayerSpec::receptive_fields`] into the packer, chunk by
+//! chunk, so no connectivity matrix is built either. The general path,
+//! [`partition_layer`], runs the same packer over a [`ConnectivityMatrix`];
+//! it is the oracle both fast routes are tested against. Outputs are
+//! ordered by (first input, output id) with a counting sort, and packing
+//! costs O(1) work per synapse.
 //!
 //! The fundamental invariant — checked here and property-tested — is that
 //! **every synapse of the layer lands in exactly one tile**.
 
+use std::ops::Range;
+
 use resparc_neuro::connectivity::ConnectivityMatrix;
-use resparc_neuro::topology::LayerSpec;
+use resparc_neuro::topology::{LayerSpec, ReceptiveFields};
 
 /// Aggregate description of one crossbar-sized tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,6 +234,8 @@ impl OpenTile {
         (self.row_inputs.len() + new) as u32
     }
 
+    /// Adds one column holding `inputs`; `weight_ids` is read only when
+    /// details are recorded.
     fn push_column(
         &mut self,
         output: u32,
@@ -238,7 +246,7 @@ impl OpenTile {
         record: bool,
     ) {
         let mut synapses = Vec::new();
-        for (&i, &w) in inputs.iter().zip(weight_ids) {
+        for (j, &i) in inputs.iter().enumerate() {
             let next = self.row_inputs.len() as u32;
             let slot = if sharing {
                 let slot = &mut self.slot_of[i as usize];
@@ -252,7 +260,7 @@ impl OpenTile {
                 next
             };
             if record {
-                synapses.push((slot, w));
+                synapses.push((slot, weight_ids[j]));
             }
         }
         self.synapses += inputs.len() as u32;
@@ -293,9 +301,10 @@ impl OpenTile {
 }
 
 /// Partitions one layer of a topology: dense layers are grid-tiled
-/// directly from their shape, conv/pool layers go through their
-/// connectivity matrix and [`partition_layer`]. Both routes yield the
-/// same [`LayerPartition`] for a dense layer.
+/// directly from their shape, conv/pool layers are packed from their
+/// receptive-field geometry. Both routes yield the same
+/// [`LayerPartition`] as [`partition_layer`] on the layer's connectivity
+/// matrix.
 ///
 /// # Panics
 ///
@@ -305,9 +314,9 @@ pub fn partition_spec(
     layer: usize,
     options: &PartitionOptions,
 ) -> LayerPartition {
-    match *spec {
-        LayerSpec::Dense { inputs, outputs } => partition_dense(inputs, outputs, layer, options),
-        _ => partition_layer(&ConnectivityMatrix::from_layer(spec), layer, options),
+    match spec.receptive_fields() {
+        Some(fields) => pack(&fields, layer, options),
+        None => partition_dense(spec.input_count(), spec.output_count(), layer, options),
     }
 }
 
@@ -391,7 +400,7 @@ fn partition_dense(
 }
 
 /// Partitions one layer's connectivity matrix into tiles: the general
-/// path, which conv/pool layers take through [`partition_spec`].
+/// path, and the oracle of the routes [`partition_spec`] takes.
 ///
 /// # Panics
 ///
@@ -403,15 +412,151 @@ pub fn partition_layer(
     layer: usize,
     options: &PartitionOptions,
 ) -> LayerPartition {
+    pack(conn, layer, options)
+}
+
+/// A source of the packer's receptive fields: the layer's geometry, or
+/// its connectivity matrix.
+trait Fields {
+    fn inputs(&self) -> usize;
+    fn outputs(&self) -> usize;
+    fn synapse_count(&self) -> usize;
+    fn fan_in(&self, o: usize) -> usize;
+    /// The smallest input of output `o`'s field; 0 if it is empty.
+    fn first_input(&self, o: usize) -> usize;
+    /// Entries `range` of output `o`'s sorted field, and their weight ids
+    /// when `record` is set (otherwise the ids may be empty). A source
+    /// that has no stored fields writes them into `buf`.
+    fn chunk<'a>(
+        &'a self,
+        o: usize,
+        range: Range<usize>,
+        record: bool,
+        buf: &'a mut FieldBuf,
+    ) -> (&'a [u32], &'a [u32]);
+}
+
+/// Buffers one streamed field chunk is written into.
+#[derive(Default)]
+struct FieldBuf {
+    inputs: Vec<u32>,
+    weight_ids: Vec<u32>,
+}
+
+impl Fields for ReceptiveFields {
+    fn inputs(&self) -> usize {
+        ReceptiveFields::inputs(self)
+    }
+
+    fn outputs(&self) -> usize {
+        ReceptiveFields::outputs(self)
+    }
+
+    fn synapse_count(&self) -> usize {
+        ReceptiveFields::synapse_count(self)
+    }
+
+    fn fan_in(&self, o: usize) -> usize {
+        ReceptiveFields::fan_in(self, o)
+    }
+
+    fn first_input(&self, o: usize) -> usize {
+        ReceptiveFields::first_input(self, o)
+    }
+
+    fn chunk<'a>(
+        &'a self,
+        o: usize,
+        range: Range<usize>,
+        record: bool,
+        buf: &'a mut FieldBuf,
+    ) -> (&'a [u32], &'a [u32]) {
+        buf.inputs.clear();
+        buf.weight_ids.clear();
+        let ids = record.then_some(&mut buf.weight_ids);
+        self.extend_field(o, range, &mut buf.inputs, ids);
+        (&buf.inputs, &buf.weight_ids)
+    }
+}
+
+impl Fields for ConnectivityMatrix {
+    fn inputs(&self) -> usize {
+        ConnectivityMatrix::inputs(self)
+    }
+
+    fn outputs(&self) -> usize {
+        ConnectivityMatrix::outputs(self)
+    }
+
+    fn synapse_count(&self) -> usize {
+        ConnectivityMatrix::synapse_count(self)
+    }
+
+    fn fan_in(&self, o: usize) -> usize {
+        ConnectivityMatrix::fan_in(self, o)
+    }
+
+    fn first_input(&self, o: usize) -> usize {
+        self.inputs_of(o).first().map_or(0, |&i| i as usize)
+    }
+
+    fn chunk<'a>(
+        &'a self,
+        o: usize,
+        range: Range<usize>,
+        _record: bool,
+        _buf: &'a mut FieldBuf,
+    ) -> (&'a [u32], &'a [u32]) {
+        (
+            &self.inputs_of(o)[range.clone()],
+            &self.weight_ids_of(o)[range],
+        )
+    }
+}
+
+/// The outputs in (first input, output id) order, by a counting sort over
+/// first inputs. Packing in this order puts outputs whose receptive
+/// fields overlap into the same tile: it clusters the same spatial
+/// position across feature maps (identical or near-identical input sets),
+/// which is what makes input sharing effective for convolutions.
+fn output_order(fields: &impl Fields) -> Vec<u32> {
+    let keys: Vec<usize> = (0..fields.outputs())
+        .map(|o| fields.first_input(o))
+        .collect();
+    let mut next = vec![0u32; fields.inputs().max(1)];
+    for &key in &keys {
+        next[key] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut order = vec![0u32; keys.len()];
+    for (o, &key) in keys.iter().enumerate() {
+        order[next[key] as usize] = o as u32;
+        next[key] += 1;
+    }
+    order
+}
+
+/// The one packer: sweeps fan-in chunks and packs each output's chunk
+/// into the open tile, closing it when the chunk's rows or one more
+/// column would not fit.
+fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> LayerPartition {
     let n = options.mca_size;
     assert!(n > 0, "MCA size must be non-zero");
-    let outputs = conn.outputs();
+    let record = options.record_details;
+    let inputs = fields.inputs();
+    let outputs = fields.outputs();
 
     // Multiplexing degree per output.
+    let fan_ins: Vec<usize> = (0..outputs).map(|o| fields.fan_in(o)).collect();
     let mut max_degree = 0u32;
     let mut degree_sum = 0u64;
-    for o in 0..outputs {
-        let d = (conn.fan_in(o)).div_ceil(n).max(1) as u32;
+    for &fan_in in &fan_ins {
+        let d = fan_in.div_ceil(n).max(1) as u32;
         max_degree = max_degree.max(d);
         degree_sum += d as u64;
     }
@@ -419,36 +564,28 @@ pub fn partition_layer(
     let mut tiles = Vec::new();
     let mut tile_rows: Vec<Vec<u32>> = Vec::new();
     let mut details: Vec<TileDetail> = Vec::new();
-
-    // Pack outputs whose receptive fields overlap into the same tile:
-    // ordering by first input id clusters the same spatial position
-    // across feature maps (identical or near-identical input sets), which
-    // is what makes input sharing effective for convolutions. Dense
-    // layers are unaffected (every output starts at input 0).
-    let mut order: Vec<u32> = (0..outputs as u32).collect();
-    order.sort_by_key(|&o| (conn.inputs_of(o as usize).first().copied().unwrap_or(0), o));
+    let order = output_order(fields);
 
     // Chunk-major sweep: phase k packs the k-th fan-in chunk of every
     // output that has one. Dense layers degenerate to grid tiling because
     // chunk k of every output covers the identical row window.
-    let mut open = OpenTile::new(conn.inputs());
+    let mut open = OpenTile::new(inputs);
+    let mut buf = FieldBuf::default();
     for k in 0..max_degree as usize {
         for &o in &order {
             let o = o as usize;
-            let ins = conn.inputs_of(o);
-            let wids = conn.weight_ids_of(o);
+            let fan_in = fan_ins[o];
             let start = k * n;
-            if start >= ins.len() {
+            if start >= fan_in {
                 continue;
             }
-            let end = (start + n).min(ins.len());
-            let chunk_inputs = &ins[start..end];
-            let chunk_wids = &wids[start..end];
+            let range = start..(start + n).min(fan_in);
+            let (chunk_inputs, chunk_wids) = fields.chunk(o, range, record, &mut buf);
 
             let fits_rows = open.rows_after(chunk_inputs, options.input_sharing) <= n as u32;
             let fits_cols = open.cols < n as u32;
             if !(open.is_empty() || (fits_rows && fits_cols)) {
-                let (tile, rows, detail) = open.close(layer, k as u32, options.record_details);
+                let (tile, rows, detail) = open.close(layer, k as u32, record);
                 tiles.push(tile);
                 tile_rows.push(rows);
                 if let Some(d) = detail {
@@ -461,7 +598,7 @@ pub fn partition_layer(
                 chunk_inputs,
                 chunk_wids,
                 options.input_sharing,
-                options.record_details,
+                record,
             );
             debug_assert!(
                 open.row_inputs.len() <= n,
@@ -470,7 +607,7 @@ pub fn partition_layer(
             );
         }
         if !open.is_empty() {
-            let (tile, rows, detail) = open.close(layer, k as u32, options.record_details);
+            let (tile, rows, detail) = open.close(layer, k as u32, record);
             tiles.push(tile);
             tile_rows.push(rows);
             if let Some(d) = detail {
@@ -482,7 +619,7 @@ pub fn partition_layer(
     let total_synapses: u64 = tiles.iter().map(|t| t.synapses as u64).sum();
     assert_eq!(
         total_synapses,
-        conn.synapse_count() as u64,
+        fields.synapse_count() as u64,
         "partition must cover every synapse exactly once"
     );
 
@@ -490,21 +627,27 @@ pub fn partition_layer(
         .iter()
         .zip(&tile_rows)
         .all(|(t, r)| t.rows as usize == r.len()));
+    // Connections over the dense matrix's; an empty matrix has density 0.
+    let density = if inputs == 0 || outputs == 0 {
+        0.0
+    } else {
+        total_synapses as f64 / (inputs as f64 * outputs as f64)
+    };
     LayerPartition {
         layer,
         tiles,
         tile_rows,
-        details: options.record_details.then_some(details),
+        details: record.then_some(details),
         max_degree,
         mean_degree: if outputs == 0 {
             0.0
         } else {
             degree_sum as f64 / outputs as f64
         },
-        inputs: conn.inputs() as u32,
+        inputs: inputs as u32,
         outputs: outputs as u32,
         total_synapses,
-        sparse: conn.density() < 0.999,
+        sparse: density < 0.999,
     }
 }
 

@@ -1,9 +1,13 @@
 //! Per-layer connectivity matrices in compressed sparse form.
 //!
 //! The hardware mapper partitions each layer's *connectivity matrix*
-//! (paper Fig. 2) across crossbars. [`ConnectivityMatrix`] stores, for each
-//! output neuron (a crossbar column), the sorted list of its input neurons
-//! (crossbar rows) and the id of the unique weight on each connection.
+//! (paper Fig. 2) across crossbars. [`ConnectivityMatrix`] stores it
+//! explicitly: for each output neuron (a crossbar column), the sorted list
+//! of its input neurons (crossbar rows) and the id of the unique weight on
+//! each connection. The mapper itself tiles dense layers from their shape
+//! and streams conv/pool fields from their geometry
+//! ([`LayerSpec::receptive_fields`]); packing this matrix is the general
+//! path both are checked against.
 //!
 //! # Examples
 //!

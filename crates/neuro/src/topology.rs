@@ -3,10 +3,13 @@
 //!
 //! A [`Topology`] is a validated stack of [`LayerSpec`]s. Every layer can
 //! enumerate its synapses as `(output, input, weight-id)` triples via
-//! [`LayerSpec::for_each_synapse`]; that single enumeration is the source
-//! of truth shared by the functional simulator, the connectivity-matrix
-//! builder and the hardware mapper, so counts can never disagree between
-//! them.
+//! [`LayerSpec::for_each_synapse`]; that enumeration is the source of
+//! truth for the functional simulator's kernels and the connectivity
+//! matrix. Conv and pool layers also describe each output's receptive
+//! field in closed form ([`LayerSpec::receptive_fields`]), built from
+//! per-axis valid-tap ranges: the hardware mapper packs tiles straight
+//! from it, and [`LayerSpec::synapse_count`] sums the same ranges. Both
+//! are property-tested against the enumeration.
 //!
 //! Convolution layers support LeNet-style *channel tables*
 //! ([`ChannelTable::Banded`]) in which each output map connects to only a
@@ -25,6 +28,7 @@
 //! ```
 
 use std::fmt;
+use std::ops::Range;
 
 /// A 3-D activation shape (height × width × channels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -178,11 +182,33 @@ impl LayerSpec {
     }
 
     /// Number of *connections* (physical synapses when mapped onto
-    /// crossbars — weight sharing does not reduce this).
+    /// crossbars — weight sharing does not reduce this), in closed form:
+    /// a convolution has `maps × fan_maps × Σ_oy taps × Σ_ox taps`, summing
+    /// the valid kernel taps of every output row and column.
     pub fn synapse_count(&self) -> usize {
-        let mut n = 0usize;
-        self.for_each_synapse(|_, _, _| n += 1);
-        n
+        match *self {
+            LayerSpec::Dense { inputs, outputs } => inputs * outputs,
+            LayerSpec::Conv2d {
+                input,
+                maps,
+                kernel,
+                stride,
+                padding,
+                table,
+            } => {
+                let (h, w) = conv_out_dims(input.height, input.width, kernel, stride, padding);
+                let pad = conv_pad(input.height, h, kernel, stride, padding);
+                let taps = |outs: usize, len: usize| -> usize {
+                    (0..outs)
+                        .map(|o| axis_taps(o, len, kernel, stride, pad).len())
+                        .sum()
+                };
+                maps * fan_maps(input.channels, table)
+                    * taps(h, input.height)
+                    * taps(w, input.width)
+            }
+            LayerSpec::AvgPool { window, .. } => self.output_count() * window * window,
+        }
     }
 
     /// Number of *unique* weight values (weight sharing collapses the
@@ -196,13 +222,7 @@ impl LayerSpec {
                 kernel,
                 table,
                 ..
-            } => {
-                let fan_maps = match table {
-                    ChannelTable::Full => input.channels,
-                    ChannelTable::Banded { fan } => fan.min(input.channels),
-                };
-                maps * fan_maps * kernel * kernel
-            }
+            } => maps * fan_maps(input.channels, table) * kernel * kernel,
             LayerSpec::AvgPool { .. } => 1,
         }
     }
@@ -216,13 +236,7 @@ impl LayerSpec {
                 kernel,
                 table,
                 ..
-            } => {
-                let fan_maps = match table {
-                    ChannelTable::Full => input.channels,
-                    ChannelTable::Banded { fan } => fan.min(input.channels),
-                };
-                kernel * kernel * fan_maps
-            }
+            } => kernel * kernel * fan_maps(input.channels, table),
             LayerSpec::AvgPool { window, .. } => window * window,
         }
     }
@@ -231,6 +245,34 @@ impl LayerSpec {
     /// opposed to dense (MLP-style).
     pub fn is_sparse(&self) -> bool {
         !matches!(self, LayerSpec::Dense { .. })
+    }
+
+    /// Checks that the layer's geometry is well formed: a convolution
+    /// needs a non-zero kernel and stride, and under `Valid` padding a
+    /// kernel that fits its input; a pool needs a non-zero window that
+    /// fits its input. The error is the reason the layer is degenerate.
+    fn check(&self) -> Result<(), String> {
+        let fits = |input: Shape, k: usize| k <= input.height && k <= input.width;
+        match *self {
+            LayerSpec::Dense { .. } => Ok(()),
+            LayerSpec::Conv2d { stride: 0, .. } => Err("conv stride is 0".into()),
+            LayerSpec::Conv2d { kernel: 0, .. } => Err("conv kernel is 0".into()),
+            LayerSpec::Conv2d {
+                input,
+                kernel,
+                padding: Padding::Valid,
+                ..
+            } if !fits(input, kernel) => Err(format!(
+                "{kernel}x{kernel} kernel does not fit the {}x{} input under Valid padding",
+                input.height, input.width
+            )),
+            LayerSpec::AvgPool { window: 0, .. } => Err("pool window is 0".into()),
+            LayerSpec::AvgPool { input, window } if !fits(input, window) => Err(format!(
+                "{window}x{window} pool window does not fit the {}x{} input",
+                input.height, input.width
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Enumerates every synapse as `(output_index, input_index,
@@ -254,26 +296,14 @@ impl LayerSpec {
                 table,
             } => {
                 let out = self.output_shape().expect("conv output");
-                let pad = match padding {
-                    Padding::Valid => 0isize,
-                    Padding::Same => {
-                        (((out.height - 1) * stride + kernel).saturating_sub(input.height) / 2)
-                            as isize
-                    }
-                };
-                let fan_maps = match table {
-                    ChannelTable::Full => input.channels,
-                    ChannelTable::Banded { fan } => fan.min(input.channels),
-                };
+                let pad = conv_pad(input.height, out.height, kernel, stride, padding) as isize;
+                let fan_maps = fan_maps(input.channels, table);
                 for m in 0..maps {
                     for oy in 0..out.height {
                         for ox in 0..out.width {
                             let o = out.index(m, oy, ox);
                             for j in 0..fan_maps {
-                                let c = match table {
-                                    ChannelTable::Full => j,
-                                    ChannelTable::Banded { .. } => (m + j) % input.channels,
-                                };
+                                let c = table_channel(table, m, j, input.channels);
                                 for ky in 0..kernel {
                                     for kx in 0..kernel {
                                         let iy = (oy * stride) as isize - pad + ky as isize;
@@ -313,6 +343,112 @@ impl LayerSpec {
             }
         }
     }
+
+    /// The closed-form receptive fields of a conv or pool layer, built
+    /// from per-axis valid-tap ranges without enumerating synapses;
+    /// `None` for a dense layer, whose every output reads every input.
+    ///
+    /// # Panics
+    ///
+    /// May panic on a degenerate layer, which [`Topology::new`] rejects
+    /// ([`TopologyError::InvalidLayer`]).
+    pub fn receptive_fields(&self) -> Option<ReceptiveFields> {
+        let output = self.output_shape()?;
+        let (input, kernel, stride, pad, fan_maps, tap_step, channels) = match *self {
+            LayerSpec::Conv2d {
+                input,
+                maps,
+                kernel,
+                stride,
+                padding,
+                table,
+            } => {
+                let fan = fan_maps(input.channels, table);
+                let mut channels = Vec::with_capacity(maps * fan);
+                for m in 0..maps {
+                    let first = channels.len();
+                    channels.extend((0..fan).map(|j| {
+                        let c = table_channel(table, m, j, input.channels);
+                        (c, (m * fan + j) * kernel * kernel)
+                    }));
+                    // A banded table wraps around the input maps.
+                    channels[first..].sort_unstable();
+                }
+                let pad = conv_pad(input.height, output.height, kernel, stride, padding);
+                (input, kernel, stride, pad, fan, 1, channels)
+            }
+            LayerSpec::AvgPool { input, window } => {
+                let channels = (0..input.channels).map(|c| (c, 0)).collect();
+                (input, window, window, 0, 1, 0, channels)
+            }
+            LayerSpec::Dense { .. } => return None,
+        };
+        let axis = |outs: usize, len: usize| -> Vec<AxisWindow> {
+            (0..outs)
+                .map(|o| {
+                    let taps = axis_taps(o, len, kernel, stride, pad);
+                    AxisWindow {
+                        first: o * stride + taps.start - pad,
+                        taps,
+                    }
+                })
+                .collect()
+        };
+        Some(ReceptiveFields {
+            input,
+            output,
+            kernel,
+            rows: axis(output.height, input.height),
+            cols: axis(output.width, input.width),
+            channels,
+            fan_maps,
+            tap_step,
+            synapses: self.synapse_count(),
+        })
+    }
+}
+
+/// Input maps each output map of a convolution reads.
+fn fan_maps(channels: usize, table: ChannelTable) -> usize {
+    match table {
+        ChannelTable::Full => channels,
+        ChannelTable::Banded { fan } => fan.min(channels),
+    }
+}
+
+/// The input map that entry `j` of output map `m`'s channel table reads.
+fn table_channel(table: ChannelTable, m: usize, j: usize, channels: usize) -> usize {
+    match table {
+        ChannelTable::Full => j,
+        ChannelTable::Banded { .. } => (m + j) % channels,
+    }
+}
+
+/// Zero padding before a convolution's first input row and column. `Same`
+/// padding is sized on the height axis and applied to both axes.
+fn conv_pad(
+    height: usize,
+    out_height: usize,
+    kernel: usize,
+    stride: usize,
+    padding: Padding,
+) -> usize {
+    match padding {
+        Padding::Valid => 0,
+        Padding::Same => {
+            (out_height.saturating_sub(1) * stride + kernel).saturating_sub(height) / 2
+        }
+    }
+}
+
+/// The valid kernel taps of output position `o` along one axis: the
+/// offsets `k < kernel` whose input coordinate `o·stride + k − pad` lies
+/// in `0..len`.
+fn axis_taps(o: usize, len: usize, kernel: usize, stride: usize, pad: usize) -> Range<usize> {
+    let origin = o * stride;
+    let lo = pad.saturating_sub(origin);
+    let hi = kernel.min((len + pad).saturating_sub(origin));
+    lo..hi.max(lo)
 }
 
 fn conv_out_dims(
@@ -325,6 +461,135 @@ fn conv_out_dims(
     match padding {
         Padding::Valid => ((h - kernel) / stride + 1, (w - kernel) / stride + 1),
         Padding::Same => (h.div_ceil(stride), w.div_ceil(stride)),
+    }
+}
+
+/// Where one output row (or column) of a spatial layer reads along that
+/// axis.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct AxisWindow {
+    /// Input coordinate of the first valid tap.
+    first: usize,
+    /// Valid kernel offsets.
+    taps: Range<usize>,
+}
+
+/// Closed-form receptive fields of a conv or pool layer (see
+/// [`LayerSpec::receptive_fields`]): each output's fan-in, first input
+/// and sorted inputs, with their weight ids, without the layer's
+/// connectivity matrix.
+///
+/// An output's field lists its input channels in ascending order; within
+/// a channel, its valid kernel rows in order, each a run of consecutive
+/// input ids over the valid kernel columns. That is the ascending order
+/// of the output's [`LayerSpec::for_each_synapse`] entries, including for
+/// banded channel tables that wrap around the input maps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReceptiveFields {
+    input: Shape,
+    output: Shape,
+    kernel: usize,
+    /// Per output row.
+    rows: Vec<AxisWindow>,
+    /// Per output column.
+    cols: Vec<AxisWindow>,
+    /// Each output map's input channels in ascending order, `fan_maps` per
+    /// map, with the weight id of the channel's kernel tap (0, 0).
+    channels: Vec<(usize, usize)>,
+    fan_maps: usize,
+    /// Weight-id step per kernel tap: 1 for a convolution's own kernel
+    /// weights, 0 for a pool's one shared weight.
+    tap_step: usize,
+    synapses: usize,
+}
+
+impl ReceptiveFields {
+    /// Number of input neurons.
+    pub fn inputs(&self) -> usize {
+        self.input.count()
+    }
+
+    /// Number of output neurons.
+    pub fn outputs(&self) -> usize {
+        self.output.count()
+    }
+
+    /// Total synapses: [`LayerSpec::synapse_count`] of the layer.
+    pub fn synapse_count(&self) -> usize {
+        self.synapses
+    }
+
+    /// Output `o`'s map and its row and column windows.
+    fn locate(&self, o: usize) -> (usize, &AxisWindow, &AxisWindow) {
+        let plane = self.output.height * self.output.width;
+        let (map, at) = (o / plane, o % plane);
+        (
+            map,
+            &self.rows[at / self.output.width],
+            &self.cols[at % self.output.width],
+        )
+    }
+
+    /// Fan-in of output `o`.
+    pub fn fan_in(&self, o: usize) -> usize {
+        let (_, row, col) = self.locate(o);
+        self.fan_maps * row.taps.len() * col.taps.len()
+    }
+
+    /// The smallest input id in output `o`'s field, or 0 if the field is
+    /// empty.
+    pub fn first_input(&self, o: usize) -> usize {
+        let (map, row, col) = self.locate(o);
+        if self.fan_maps == 0 || row.taps.is_empty() || col.taps.is_empty() {
+            return 0;
+        }
+        let (channel, _) = self.channels[map * self.fan_maps];
+        self.input.index(channel, row.first, col.first)
+    }
+
+    /// Appends entries `range` of output `o`'s field, in ascending input
+    /// order, to `inputs`, and their weight ids to `weight_ids` when it is
+    /// given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the output's fan-in.
+    pub fn extend_field(
+        &self,
+        o: usize,
+        range: Range<usize>,
+        inputs: &mut Vec<u32>,
+        mut weight_ids: Option<&mut Vec<u32>>,
+    ) {
+        if range.is_empty() {
+            return;
+        }
+        let (map, row, col) = self.locate(o);
+        let (height, width) = (row.taps.len(), col.taps.len());
+        let channels = &self.channels[map * self.fan_maps..][..self.fan_maps];
+        // Entry `range.start` is tap `x` of kernel row `y` of the field's
+        // `c`-th channel; from there the field is one run of consecutive
+        // inputs per kernel row.
+        let (run, mut x) = (range.start / width, range.start % width);
+        let (mut c, mut y) = (run / height, run % height);
+        let mut left = range.len();
+        while left > 0 {
+            let len = (width - x).min(left);
+            let (channel, weight) = channels[c];
+            let first = self.input.index(channel, row.first + y, col.first + x);
+            inputs.extend((first..first + len).map(|i| i as u32));
+            if let Some(ids) = weight_ids.as_deref_mut() {
+                let tap = (row.taps.start + y) * self.kernel + col.taps.start + x;
+                ids.extend((tap..tap + len).map(|k| (weight + k * self.tap_step) as u32));
+            }
+            left -= len;
+            x = 0;
+            y += 1;
+            if y == height {
+                y = 0;
+                c += 1;
+            }
+        }
     }
 }
 
@@ -344,15 +609,20 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError`] if the stack is empty, the first layer
-    /// does not consume `input_count` neurons, or adjacent layers disagree
-    /// on size.
+    /// Returns [`TopologyError`] if the stack is empty, a conv or pool
+    /// layer is degenerate (zero stride, kernel or window, or a `Valid`
+    /// kernel or pool window larger than its input), the first layer does
+    /// not consume `input_count` neurons, or adjacent layers disagree on
+    /// size.
     pub fn new(input_count: usize, layers: Vec<LayerSpec>) -> Result<Self, TopologyError> {
         if layers.is_empty() {
             return Err(TopologyError::Empty);
         }
         let mut expected = input_count;
         for (i, layer) in layers.iter().enumerate() {
+            layer
+                .check()
+                .map_err(|reason| TopologyError::InvalidLayer { layer: i, reason })?;
             if layer.input_count() != expected {
                 return Err(TopologyError::SizeMismatch {
                     layer: i,
@@ -448,13 +718,7 @@ pub struct TopologyBuilder {
 
 impl TopologyBuilder {
     /// Appends a convolution layer.
-    pub fn conv(
-        mut self,
-        maps: usize,
-        kernel: usize,
-        padding: Padding,
-        table: ChannelTable,
-    ) -> Self {
+    pub fn conv(self, maps: usize, kernel: usize, padding: Padding, table: ChannelTable) -> Self {
         let spec = LayerSpec::Conv2d {
             input: self.current,
             maps,
@@ -463,18 +727,25 @@ impl TopologyBuilder {
             padding,
             table,
         };
-        self.current = spec.output_shape().expect("conv output");
-        self.layers.push(spec);
-        self
+        self.spatial(spec)
     }
 
     /// Appends a non-overlapping average-pool layer.
-    pub fn pool(mut self, window: usize) -> Self {
+    pub fn pool(self, window: usize) -> Self {
         let spec = LayerSpec::AvgPool {
             input: self.current,
             window,
         };
-        self.current = spec.output_shape().expect("pool output");
+        self.spatial(spec)
+    }
+
+    /// Appends a conv or pool layer. A degenerate layer has no output
+    /// shape, so it leaves the current one in place; [`Self::build`]
+    /// reports it.
+    fn spatial(mut self, spec: LayerSpec) -> Self {
+        if spec.check().is_ok() {
+            self.current = spec.output_shape().unwrap_or(self.current);
+        }
         self.layers.push(spec);
         self
     }
@@ -493,7 +764,8 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::Empty`] if no layer was added.
+    /// Returns [`TopologyError::Empty`] if no layer was added, and
+    /// [`TopologyError::InvalidLayer`] for the first degenerate layer.
     pub fn build(self) -> Result<Topology, TopologyError> {
         Topology::new(self.input.count(), self.layers)
     }
@@ -513,6 +785,15 @@ pub enum TopologyError {
         /// Size the offending layer consumes.
         found: usize,
     },
+    /// A conv or pool layer's geometry is degenerate: a zero stride,
+    /// kernel or pool window, or a `Valid` kernel or pool window larger
+    /// than its input.
+    InvalidLayer {
+        /// Index of the offending layer.
+        layer: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -527,6 +808,9 @@ impl fmt::Display for TopologyError {
                 f,
                 "layer {layer} consumes {found} inputs but previous layer produces {expected}"
             ),
+            TopologyError::InvalidLayer { layer, reason } => {
+                write!(f, "layer {layer} is degenerate: {reason}")
+            }
         }
     }
 }
@@ -591,8 +875,9 @@ mod tests {
             table: ChannelTable::Full,
         };
         assert_eq!(l.output_shape(), Some(Shape::new(8, 8, 1)));
-        // Interior neurons have fan-in 9; border ones fewer.
-        assert!(l.synapse_count() < 8 * 8 * 9);
+        // Interior neurons have fan-in 9; border ones fewer. Per axis the
+        // two border outputs have 2 valid taps and the six interior ones 3.
+        assert_eq!(l.synapse_count(), 22 * 22);
         assert_eq!(l.max_fan_in(), 9);
     }
 
@@ -672,6 +957,112 @@ mod tests {
     #[test]
     fn empty_topology_rejected() {
         assert_eq!(Topology::new(10, vec![]).unwrap_err(), TopologyError::Empty);
+    }
+
+    /// The layer index of a [`TopologyError::InvalidLayer`].
+    fn invalid_layer(built: Result<Topology, TopologyError>) -> usize {
+        match built {
+            Err(TopologyError::InvalidLayer { layer, .. }) => layer,
+            other => panic!("expected an invalid-layer error, got {other:?}"),
+        }
+    }
+
+    fn conv(input: Shape, kernel: usize, stride: usize, padding: Padding) -> LayerSpec {
+        LayerSpec::Conv2d {
+            input,
+            maps: 2,
+            kernel,
+            stride,
+            padding,
+            table: ChannelTable::Full,
+        }
+    }
+
+    #[test]
+    fn zero_stride_is_a_typed_error() {
+        let layer = conv(Shape::new(6, 6, 1), 3, 0, Padding::Same);
+        assert_eq!(invalid_layer(Topology::new(36, vec![layer])), 0);
+    }
+
+    #[test]
+    fn zero_kernel_is_a_typed_error() {
+        let layer = conv(Shape::new(6, 6, 1), 0, 1, Padding::Valid);
+        assert_eq!(invalid_layer(Topology::new(36, vec![layer])), 0);
+    }
+
+    #[test]
+    fn zero_pool_window_is_a_typed_error() {
+        let built = Topology::builder(Shape::new(6, 6, 1))
+            .conv(2, 3, Padding::Same, ChannelTable::Full)
+            .pool(0)
+            .dense(10)
+            .build();
+        assert_eq!(invalid_layer(built), 1);
+        let pool = LayerSpec::AvgPool {
+            input: Shape::new(6, 6, 1),
+            window: 0,
+        };
+        assert_eq!(invalid_layer(Topology::new(36, vec![pool])), 0);
+    }
+
+    #[test]
+    fn valid_kernel_larger_than_its_input_is_a_typed_error() {
+        // A 3x3 kernel over a 2x2 input once wrapped to a 0-output layer.
+        let built = Topology::builder(Shape::new(2, 2, 1))
+            .conv(4, 3, Padding::Valid, ChannelTable::Full)
+            .dense(10)
+            .build();
+        assert_eq!(invalid_layer(built.clone()), 0);
+        assert!(built
+            .unwrap_err()
+            .to_string()
+            .contains("3x3 kernel does not fit the 2x2 input"));
+        let layer = conv(Shape::new(5, 2, 1), 3, 1, Padding::Valid);
+        assert_eq!(invalid_layer(Topology::new(10, vec![layer])), 0);
+        // Same padding keeps the output size, so the kernel may overhang.
+        let same = conv(Shape::new(2, 2, 1), 3, 1, Padding::Same);
+        assert!(Topology::new(4, vec![same]).is_ok());
+    }
+
+    #[test]
+    fn pool_window_larger_than_its_input_is_a_typed_error() {
+        let built = Topology::builder(Shape::new(3, 3, 2)).pool(4).build();
+        assert_eq!(invalid_layer(built), 0);
+    }
+
+    #[test]
+    fn receptive_field_of_a_wrapping_banded_map_is_sorted() {
+        // Map 2 of a fan-2 table over 3 input maps reads maps 2 and 0; its
+        // field lists map 0 first.
+        let l = LayerSpec::Conv2d {
+            input: Shape::new(4, 4, 3),
+            maps: 3,
+            kernel: 3,
+            stride: 1,
+            padding: Padding::Valid,
+            table: ChannelTable::Banded { fan: 2 },
+        };
+        let o = l.output_shape().unwrap().index(2, 1, 0);
+        let mut want = Vec::new();
+        l.for_each_synapse(|out, i, w| {
+            if out == o {
+                want.push((i as u32, w as u32));
+            }
+        });
+        want.sort_unstable();
+        let fields = l.receptive_fields().unwrap();
+        let (mut inputs, mut weight_ids) = (Vec::new(), Vec::new());
+        fields.extend_field(o, 0..fields.fan_in(o), &mut inputs, Some(&mut weight_ids));
+        assert_eq!(inputs[0], 4); // map 0, row 1, column 0
+        assert_eq!(fields.first_input(o), 4);
+        let got: Vec<(u32, u32)> = inputs.into_iter().zip(weight_ids).collect();
+        assert_eq!(got, want);
+        assert!(LayerSpec::Dense {
+            inputs: 3,
+            outputs: 2
+        }
+        .receptive_fields()
+        .is_none());
     }
 
     #[test]

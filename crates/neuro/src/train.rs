@@ -232,7 +232,9 @@ pub fn train_mlp(
 ///
 /// # Panics
 ///
-/// Panics if `head_sizes` is empty or `samples` is empty.
+/// Panics if `head_sizes` is empty, `samples` is empty, or a frontend
+/// layer is degenerate
+/// ([`TopologyError::InvalidLayer`](crate::topology::TopologyError::InvalidLayer)).
 pub fn train_cnn_with_random_frontend(
     input: Shape,
     frontend: &[FrontendLayer],
@@ -261,7 +263,7 @@ pub fn train_cnn_with_random_frontend(
         .clone()
         .dense(*head_sizes.last().expect("non-empty"))
         .build()
-        .expect("builder output is consistent");
+        .expect("frontend layers are well formed");
     let front_layer_count = front_topology.layer_count() - 1;
     let front_net = Network::random(
         Topology::new(

@@ -3,10 +3,11 @@
 //!
 //! Each digest is FNV-1a over every layer's tiles, tile rows,
 //! multiplexing degrees and sparsity flag at one MCA size. The values were
-//! recorded from the ordered-map partitioner that both current routes were
+//! recorded from the ordered-map partitioner that the current routes were
 //! checked against before it was removed, so they pin the general
-//! connectivity-matrix path (conv/pool layers, and the oracle of the dense
-//! grid tiler) and the mapper's per-kind routing to that output.
+//! connectivity-matrix path (the oracle of the dense grid tiler and of the
+//! conv/pool packer streamed from layer geometry) and the mapper's
+//! per-kind routes to that output.
 
 use resparc_suite::prelude::*;
 use resparc_suite::resparc_core::map::partition::{partition_layer, LayerPartition};

@@ -31,38 +31,83 @@ proptest! {
     }
 
     /// Partitioning covers every synapse exactly once and never overflows
-    /// a tile, for arbitrary dense layer shapes (zero-width included) and
-    /// MCA sizes, and the direct dense grid tiler the mapper uses equals
-    /// the general connectivity-matrix path under every option set.
+    /// a tile, and both routes the mapper takes — the dense grid tiler and
+    /// the conv/pool packer streamed from layer geometry — equal the
+    /// general connectivity-matrix path at every MCA size under every
+    /// option set. Layers are dense (zero-width included), conv or pool
+    /// (see [`spatial_spec`]).
     #[test]
-    fn partition_covers_dense_layers(
-        inputs in 0usize..600,
-        outputs in 0usize..600,
-        mca in prop_oneof![
-            Just(8usize), Just(16), Just(24), Just(32), Just(64), Just(100), Just(128)
-        ],
-        input_sharing in any::<bool>(),
-        record_details in any::<bool>(),
+    fn partition_spec_matches_general_path(
+        kind in 0usize..3,
+        dense in (0usize..600, 0usize..600),
+        input in (1usize..14, 1usize..14, 0usize..5),
+        conv in (0usize..7, 1usize..6, 1usize..4, any::<bool>()),
+        banded in any::<bool>(),
+        fan in 0usize..6,
     ) {
         use resparc_suite::resparc_core::map::partition::{partition_layer, partition_spec};
 
-        let spec = LayerSpec::Dense { inputs, outputs };
-        let opts = PartitionOptions {
-            mca_size: mca,
-            input_sharing,
-            record_details,
+        let spec = match kind {
+            0 => LayerSpec::Dense { inputs: dense.0, outputs: dense.1 },
+            _ => spatial_spec(kind == 2, input, conv, banded, fan),
         };
-        let part = partition_layer(&ConnectivityMatrix::from_layer(&spec), 3, &opts);
-        let direct = partition_spec(&spec, 3, &opts);
-        prop_assert!(
-            direct == part,
-            "dense tiler differs from the general path: {inputs}x{outputs}, {opts:?}"
-        );
-        prop_assert_eq!(direct.mean_degree.to_bits(), part.mean_degree.to_bits());
-        prop_assert_eq!(part.total_synapses, (inputs * outputs) as u64);
-        prop_assert!(part.tiles.iter().all(|t| t.rows as usize <= mca && t.cols as usize <= mca));
-        let degree = if outputs == 0 { 0 } else { inputs.div_ceil(mca).max(1) };
-        prop_assert_eq!(part.max_degree as usize, degree);
+        let conn = ConnectivityMatrix::from_layer(&spec);
+        for mca in [8usize, 16, 24, 32, 64, 100, 128] {
+            for (input_sharing, record_details) in
+                [(true, false), (true, true), (false, false), (false, true)]
+            {
+                let opts = PartitionOptions { mca_size: mca, input_sharing, record_details };
+                let part = partition_layer(&conn, 3, &opts);
+                let direct = partition_spec(&spec, 3, &opts);
+                prop_assert!(
+                    direct == part,
+                    "{} route differs from the general path: {spec:?}, {opts:?}",
+                    spec.kind()
+                );
+                prop_assert_eq!(direct.mean_degree.to_bits(), part.mean_degree.to_bits());
+                prop_assert_eq!(part.total_synapses, spec.synapse_count() as u64);
+                prop_assert!(part.tiles.iter().all(|t| t.rows as usize <= mca && t.cols as usize <= mca));
+                let degree = if spec.output_count() == 0 {
+                    0
+                } else {
+                    conn.max_fan_in().div_ceil(mca).max(1)
+                };
+                prop_assert_eq!(part.max_degree as usize, degree);
+            }
+        }
+    }
+
+    /// Every conv/pool output's closed-form receptive field, read in two
+    /// pieces split anywhere, is its sorted `for_each_synapse` entries,
+    /// weight ids included; its first input and fan-in agree, and the
+    /// closed-form synapse count equals the enumeration's.
+    #[test]
+    fn receptive_fields_match_sorted_enumeration(
+        pool in any::<bool>(),
+        input in (1usize..14, 1usize..14, 0usize..5),
+        conv in (0usize..7, 1usize..6, 1usize..4, any::<bool>()),
+        banded in any::<bool>(),
+        fan in 0usize..6,
+        split in 0.0f64..1.0,
+    ) {
+        let spec = spatial_spec(pool, input, conv, banded, fan);
+        let mut entries = vec![Vec::new(); spec.output_count()];
+        spec.for_each_synapse(|o, i, w| entries[o].push((i as u32, w as u32)));
+        prop_assert_eq!(spec.synapse_count(), entries.iter().map(Vec::len).sum::<usize>());
+        let fields = spec.receptive_fields().expect("a spatial layer");
+        prop_assert_eq!(fields.synapse_count(), spec.synapse_count());
+        for (o, mut want) in entries.into_iter().enumerate() {
+            want.sort_unstable();
+            let fan_in = fields.fan_in(o);
+            prop_assert_eq!(fan_in, want.len());
+            prop_assert_eq!(fields.first_input(o), want.first().map_or(0, |&(i, _)| i as usize));
+            let cut = (split * fan_in as f64) as usize;
+            let (mut inputs, mut weight_ids) = (Vec::new(), Vec::new());
+            fields.extend_field(o, 0..cut, &mut inputs, Some(&mut weight_ids));
+            fields.extend_field(o, cut..fan_in, &mut inputs, Some(&mut weight_ids));
+            let got: Vec<(u32, u32)> = inputs.into_iter().zip(weight_ids).collect();
+            prop_assert!(got == want, "output {o} of {spec:?}: {got:?} != {want:?}");
+        }
     }
 
     /// Quantization error is bounded by half a step at every precision.
@@ -1316,5 +1361,42 @@ proptest! {
         let shared_plan = SharedEventSimulator::with_engine(&pool, ReplayEngine::Plan)
             .run_weighted(&pairs, &[weight]);
         prop_assert_eq!(&shared_ref, &shared_plan, "weighted SharedReport must be bit-identical");
+    }
+}
+
+/// A well-formed conv or pool layer from generated parameters: an
+/// `input` of (height, width, channels), with channels possibly 0;
+/// `conv` = (maps, kernel, stride, Same padding). A conv reads a full
+/// channel table, or a banded one of `fan` maps (0 included) that wraps
+/// around the input maps; a `Valid` kernel and a pool window are clipped
+/// to fit the input.
+fn spatial_spec(
+    pool: bool,
+    input: (usize, usize, usize),
+    conv: (usize, usize, usize, bool),
+    banded: bool,
+    fan: usize,
+) -> LayerSpec {
+    let (height, width, channels) = input;
+    let (maps, kernel, stride, same) = conv;
+    let input = Shape::new(height, width, channels);
+    let fitted = kernel.min(height).min(width);
+    if pool {
+        return LayerSpec::AvgPool {
+            input,
+            window: fitted,
+        };
+    }
+    LayerSpec::Conv2d {
+        input,
+        maps,
+        kernel: if same { kernel } else { fitted },
+        stride,
+        padding: if same { Padding::Same } else { Padding::Valid },
+        table: if banded {
+            ChannelTable::Banded { fan }
+        } else {
+            ChannelTable::Full
+        },
     }
 }

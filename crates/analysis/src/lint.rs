@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn no_panic_scoped_to_core_and_workloads_library_code() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert_eq!(findings("crates/core/src/mpe.rs", src), vec![Rule::NoPanic]);
+        assert_eq!(findings("crates/core/src/hw.rs", src), vec![Rule::NoPanic]);
         assert_eq!(
             findings(
                 "crates/workloads/src/churn.rs",
@@ -423,18 +423,18 @@ mod tests {
         assert!(findings("crates/figures/src/lib.rs", src).is_empty());
         // unwrap_or / unwrap_or_else are not panics.
         assert!(findings(
-            "crates/core/src/mpe.rs",
+            "crates/core/src/hw.rs",
             "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }"
         )
         .is_empty());
         // assert! stays allowed (documented contracts).
-        assert!(findings("crates/core/src/mpe.rs", "fn f() { assert!(true); }").is_empty());
+        assert!(findings("crates/core/src/hw.rs", "fn f() { assert!(true); }").is_empty());
     }
 
     #[test]
     fn no_panic_skips_cfg_test_modules() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { None::<u32>.unwrap(); }\n}";
-        assert!(findings("crates/core/src/mpe.rs", src).is_empty());
+        assert!(findings("crates/core/src/hw.rs", src).is_empty());
     }
 
     #[test]
@@ -456,12 +456,12 @@ mod tests {
     #[test]
     fn suppression_with_reason_silences_finding() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    // resparc-lint: allow(no-panic, reason = \"contract: caller checked\")\n    x.unwrap()\n}";
-        let report = lint_file("crates/core/src/mpe.rs", src);
+        let report = lint_file("crates/core/src/hw.rs", src);
         assert!(report.findings.is_empty());
         assert_eq!(report.suppressed, 1);
         // Trailing form works too.
         let src2 = "fn f(x: Option<u32>) -> u32 { x.unwrap() } // resparc-lint: allow(no-panic, reason = \"checked\")";
-        let r2 = lint_file("crates/core/src/mpe.rs", src2);
+        let r2 = lint_file("crates/core/src/hw.rs", src2);
         assert!(r2.findings.is_empty());
         assert_eq!(r2.suppressed, 1);
     }
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn suppression_without_reason_is_a_finding() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    // resparc-lint: allow(no-panic)\n    x.unwrap()\n}";
-        let report = lint_file("crates/core/src/mpe.rs", src);
+        let report = lint_file("crates/core/src/hw.rs", src);
         let rules: Vec<Rule> = report.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&Rule::SuppressionWithoutReason));
         // The underlying finding still stands.
@@ -480,7 +480,7 @@ mod tests {
     #[test]
     fn unknown_rule_in_allow_is_reported() {
         let src = "// resparc-lint: allow(no-such-rule, reason = \"x\")\nfn f() {}";
-        let report = lint_file("crates/core/src/mpe.rs", src);
+        let report = lint_file("crates/core/src/hw.rs", src);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, Rule::SuppressionWithoutReason);
     }
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn suppression_does_not_leak_to_other_lines() {
         let src = "// resparc-lint: allow(no-panic, reason = \"first only\")\nlet a = x.unwrap();\nlet b = y.unwrap();";
-        let report = lint_file("crates/core/src/mpe.rs", src);
+        let report = lint_file("crates/core/src/hw.rs", src);
         assert_eq!(report.suppressed, 1);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].line, 3);

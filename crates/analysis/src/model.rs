@@ -445,15 +445,13 @@ impl Harness {
                 // Servability is per size class: a 2-run of free
                 // 8-cells is no capacity at all for a 16-class
                 // request. The record carries no class, so recover it
-                // from the harness's fixture.
-                let limit = self
-                    .submitted
-                    .iter()
-                    .position(|s| *s == Some(rec.request))
-                    .map_or(pool.max_admissible_run(), |k| {
-                        pool.max_admissible_run_for(setup.probes[k].config.mca_size)
-                    });
-                let unservable = rec.ncs > limit;
+                // from the harness's fixture (invariant 3 already rules
+                // out a record that was never submitted).
+                let Some(k) = self.submitted.iter().position(|s| *s == Some(rec.request)) else {
+                    return self.violated(&format!("aborted {} was never submitted", rec.request));
+                };
+                let unservable =
+                    rec.ncs > pool.max_admissible_run_for(setup.probes[k].config.mca_size);
                 if !unservable && !self.cancelled.contains(&rec.request) {
                     return self.violated(&format!(
                         "{} aborted while servable and never cancelled",

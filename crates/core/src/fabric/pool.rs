@@ -30,12 +30,12 @@
 //! mapped at class `s` only fits a contiguous free run of class-`s`
 //! cells: runs never span a size boundary, exactly as they never span
 //! an unhealthy cell. All run accounting is therefore *size-aware* —
-//! [`FabricPool::largest_free_run`] / [`FabricPool::max_admissible_run`]
-//! report the longest **uniform-class** run (a long run of small cells
-//! is not admissible capacity for a large-class tenant), with per-class
-//! variants ([`FabricPool::largest_free_run_for`],
+//! [`FabricPool::largest_free_run`] reports the longest
+//! **uniform-class** free run (a long run of small cells is not
+//! admissible capacity for a large-class tenant), and the admission
+//! queries are per class ([`FabricPool::largest_free_run_for`],
 //! [`FabricPool::max_admissible_run_for`],
-//! [`FabricPool::can_admit_sized`]) for callers that know their class.
+//! [`FabricPool::can_admit_sized`]).
 //! On a homogeneous pool every cell shares one class and all of this
 //! degenerates bit-identically to the historical behaviour.
 
@@ -208,8 +208,8 @@ impl FabricPool {
     /// (e.g. `&[32, 32, 64, 64, 128]` for a mixed chip). The machine
     /// shape otherwise follows `config` — `config.physical_ncs` is
     /// overridden to `nc_sizes.len()`, and `config.mca_size` remains
-    /// the *default class* used by sizeless probes like
-    /// [`can_admit`](Self::can_admit).
+    /// the *default class*: the one callers mapping against
+    /// [`config`](Self::config) use.
     ///
     /// A tenant admitted onto a heterogeneous pool lands on a
     /// contiguous run of cells **all of its own class** (the class its
@@ -251,9 +251,8 @@ impl FabricPool {
         );
         config.physical_ncs = nc_sizes.len();
         // A uniform inventory is just a homogeneous pool of that class:
-        // anchor the base config to it so the class-blind paths
-        // (`can_admit`, callers mapping against `config()`) use the
-        // right crossbar.
+        // anchor the base config to it so callers mapping against
+        // `config()` use the right crossbar.
         if nc_sizes.windows(2).all(|w| w[0] == w[1]) {
             config.mca_size = nc_sizes[0];
         }
@@ -462,31 +461,17 @@ impl FabricPool {
             .unwrap_or(0)
     }
 
-    /// Longest contiguous run of **healthy** NCs, occupied or not — the
-    /// hard ceiling on what any future admission could ever receive,
-    /// however many tenants depart and however the pool compacts. A
-    /// request needing more can never be served while the unhealthy
-    /// cells stay out (a [`FabricScheduler`] uses this to abort
-    /// unservable queued requests instead of waiting forever). Like
-    /// free runs, healthy runs never span a size class boundary; use
-    /// [`max_admissible_run_for`](Self::max_admissible_run_for) when
-    /// the request's class is known.
+    /// Longest contiguous healthy run of class-`mca_size` NCs, occupied
+    /// or not — the hard ceiling on what any future admission of that
+    /// class could ever receive, however many tenants depart and however
+    /// the pool compacts. A request needing more can never be served
+    /// while the unhealthy cells stay out (a [`FabricScheduler`] uses
+    /// this to abort unservable queued requests instead of waiting
+    /// forever). Healthy runs never span a size class boundary, so on a
+    /// heterogeneous pool a long healthy stretch of *small* cells gives
+    /// a *large* class nothing.
     ///
     /// [`FabricScheduler`]: crate::fabric::FabricScheduler
-    pub fn max_admissible_run(&self) -> usize {
-        self.healthy_segments()
-            .into_iter()
-            .map(|(_, len, _)| len)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Longest contiguous healthy run of class-`mca_size` NCs — the
-    /// hard admissibility ceiling for tenants mapped at that class. On
-    /// a heterogeneous pool a contiguous healthy stretch of *small*
-    /// cells can dwarf [`max_admissible_run`](Self::max_admissible_run)
-    /// for a *large* class: a class-aware scheduler must gate on this,
-    /// not the class-blind maximum.
     pub fn max_admissible_run_for(&self, mca_size: usize) -> usize {
         self.healthy_segments_for(mca_size)
             .into_iter()
@@ -513,23 +498,13 @@ impl FabricPool {
     }
 
     /// Whether an admission needing `needed_ncs` contiguous NeuroCells
-    /// **of the pool's default class** (`config().mca_size`) would
-    /// currently succeed under the pool's policy (counting the room a
-    /// [`PackingPolicy::Defragment`] compaction would free, but
-    /// performing no mutation). [`FabricScheduler`] probes with
-    /// [`can_admit_sized`](Self::can_admit_sized) before committing a
-    /// queued request; this class-blind form is exact on homogeneous
-    /// pools.
-    ///
-    /// [`FabricScheduler`]: crate::fabric::FabricScheduler
-    pub fn can_admit(&self, needed_ncs: usize) -> bool {
-        self.can_admit_sized(needed_ncs, self.config.mca_size)
-    }
-
-    /// Whether an admission needing `needed_ncs` contiguous NeuroCells
     /// of class `mca_size` would currently succeed under the pool's
     /// policy (counting the room a [`PackingPolicy::Defragment`]
     /// compaction would free, but performing no mutation).
+    /// [`FabricScheduler`] probes with it before committing a queued
+    /// request.
+    ///
+    /// [`FabricScheduler`]: crate::fabric::FabricScheduler
     pub fn can_admit_sized(&self, needed_ncs: usize, mca_size: usize) -> bool {
         let needed = needed_ncs.max(1);
         match self.policy {
@@ -1170,7 +1145,7 @@ mod tests {
     }
 
     #[test]
-    fn can_admit_matches_admission_outcomes() {
+    fn can_admit_sized_matches_admission_outcomes() {
         let fragment = |pool: &mut FabricPool| {
             let ids: Vec<TenantId> = (0..5)
                 .map(|i| {
@@ -1188,14 +1163,14 @@ mod tests {
         fragment(&mut pool);
         // 5 free NCs in 2-NC holes (+1 tail): a 4-NC tenant is
         // admissible only via compaction, a 6-NC one not at all.
-        assert!(pool.can_admit(4));
-        assert!(!pool.can_admit(6));
-        assert!(pool.can_admit(0), "zero-NC probe rounds up to one NC");
+        assert!(pool.can_admit_sized(4, 64));
+        assert!(!pool.can_admit_sized(6, 64));
+        assert!(pool.can_admit_sized(0, 64), "zero NCs round up to one");
 
         let mut first = FabricPool::new(ResparcConfig::resparc_64());
         fragment(&mut first);
-        assert!(first.can_admit(2));
-        assert!(!first.can_admit(4), "first-fit does not compact");
+        assert!(first.can_admit_sized(2, 64));
+        assert!(!first.can_admit_sized(4, 64), "first-fit does not compact");
     }
 
     #[test]
@@ -1253,7 +1228,7 @@ mod tests {
         pool.fail_nc(5);
         assert_eq!(pool.free_ncs(), 15);
         assert_eq!(pool.largest_free_run(), 10);
-        assert_eq!(pool.max_admissible_run(), 10);
+        assert_eq!(pool.max_admissible_run_for(64), 10);
         let a = pool.admit_topology(&sized_topology(5), "a").unwrap();
         assert_eq!(pool.tenant(a).unwrap().first_nc(), 0, "fills 0..5");
         let b = pool.admit_topology(&sized_topology(5), "b").unwrap();
@@ -1277,7 +1252,7 @@ mod tests {
         pool.evict(c);
         assert_eq!(pool.largest_free_run(), 3);
 
-        assert!(pool.can_admit(4));
+        assert!(pool.can_admit_sized(4, 64));
         let wide = pool.admit_topology(&sized_topology(4), "wide").unwrap();
         let tw = pool.tenant(wide).unwrap();
         // Survivors packed into 0..7; the new tenant fills the hole
@@ -1303,7 +1278,7 @@ mod tests {
         assert_eq!(pool.largest_free_run_for(64), 3);
         assert_eq!(pool.largest_free_run_for(32), 2);
         assert_eq!(pool.largest_free_run_for(128), 0, "class absent");
-        assert_eq!(pool.max_admissible_run(), 3);
+        assert_eq!(pool.max_admissible_run_for(64), 3);
         assert_eq!(pool.max_admissible_run_for(32), 2);
         assert_eq!(pool.free_fragments(), 3);
         // Health still breaks runs inside a class.

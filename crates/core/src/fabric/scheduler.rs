@@ -612,7 +612,7 @@ impl FabricScheduler {
                 self.active.push((request, tenant));
             }
             Err(_) => {
-                debug_assert!(false, "can_admit probed this admission");
+                debug_assert!(false, "can_admit_sized probed this admission");
                 self.retire(request, None);
             }
         }
@@ -1127,7 +1127,7 @@ mod tests {
             .map(&Topology::mlp(144, &[576, 576, 10]))
             .unwrap();
         assert_eq!(probe64.placement.ncs_used, 2);
-        assert_eq!(pool.max_admissible_run(), 2, "class-blind run says 2");
+        assert_eq!(pool.max_admissible_run_for(32), 2, "two 32-class cells");
         assert_eq!(pool.max_admissible_run_for(64), 1, "but none of it is 64");
         let probe32 = crate::map::Mapper::new(pool.class_config(32))
             .map(&Topology::mlp(96, &[64, 10]))

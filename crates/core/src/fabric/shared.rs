@@ -34,7 +34,7 @@ use resparc_neuro::trace::SpikeTrace;
 
 use crate::fabric::{logic_leakage_power, FabricPool, Tenant, TenantId};
 use crate::sim::cost;
-use crate::sim::event::{fold_factor, EventLayerStats, EventSimulator, ReplayEngine, TraceReplay};
+use crate::sim::event::{fold_factor, EventLayerStats, EventSimulator, TraceReplay};
 
 /// One tenant's slice of a shared replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,22 +175,12 @@ impl SharedReport {
 #[derive(Debug, Clone)]
 pub struct SharedEventSimulator<'p> {
     pool: &'p FabricPool,
-    engine: ReplayEngine,
 }
 
 impl<'p> SharedEventSimulator<'p> {
-    /// Creates a simulator over the pool's resident tenants using the
-    /// default (plan) replay engine.
+    /// Creates a simulator over the pool's resident tenants.
     pub fn new(pool: &'p FabricPool) -> Self {
-        Self::with_engine(pool, ReplayEngine::default())
-    }
-
-    /// Creates a simulator pinned to a specific replay engine for
-    /// [`run_weighted`](Self::run_weighted). Both engines produce
-    /// bit-identical reports (see [`crate::sim::event::ReplayEngine`]);
-    /// the choice only affects replay speed.
-    pub fn with_engine(pool: &'p FabricPool, engine: ReplayEngine) -> Self {
-        Self { pool, engine }
+        Self { pool }
     }
 
     /// Replays one trace per tenant through the shared fabric,
@@ -230,9 +220,7 @@ impl<'p> SharedEventSimulator<'p> {
     ) -> SharedReport {
         let replays: Vec<TraceReplay> = traces
             .iter()
-            .map(|&(id, trace)| {
-                EventSimulator::with_engine(&self.resident(id).mapping, self.engine).replay(trace)
-            })
+            .map(|&(id, trace)| EventSimulator::new(&self.resident(id).mapping).replay(trace))
             .collect();
         let pairs: Vec<(TenantId, &TraceReplay)> =
             traces.iter().map(|&(id, _)| id).zip(&replays).collect();
@@ -248,8 +236,7 @@ impl<'p> SharedEventSimulator<'p> {
     /// pool mapping (its origin-0 probe works as well as the translated
     /// mapping: a replay does not depend on the origin), so
     /// `interleave` over those replays is bit-identical to
-    /// `run_weighted` over the traces they came from. The simulator's
-    /// replay engine plays no part here.
+    /// `run_weighted` over the traces they came from.
     ///
     /// # Panics
     ///

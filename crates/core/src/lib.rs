@@ -14,7 +14,11 @@
 //! * [`sim`] — the activity-driven energy/latency simulator whose
 //!   breakdowns reproduce Fig. 11–13, plus the trace-driven event
 //!   simulator ([`sim::event`]) that replays measured spike traces
-//!   through the fabric packet-by-packet,
+//!   through the fabric packet-by-packet. The digital shell is priced,
+//!   not modelled structurally: mPE buffer accesses and CCU transfers
+//!   (Fig. 4), switch hops and zero-checks (Fig. 6), and global bus/SRAM
+//!   transactions (Fig. 3) are per-event charges, shared with the
+//!   closed-form arithmetic in [`sim::cost`],
 //! * [`fabric`] — the multi-tenant view: a [`FabricPool`] admitting many
 //!   mapped networks onto one physical NeuroCell pool (NC-granular
 //!   free-list, first-fit/best-fit/defragmenting [`PackingPolicy`],
@@ -23,13 +27,6 @@
 //!   with weighted-round-robin bus QoS, and the [`FabricScheduler`]
 //!   churning tenants mid-stream (FIFO admission queue, departure-driven
 //!   eviction),
-//! * [`mpe`] — the macro Processing Engine's digital shell: per-MCA
-//!   buffers (iBUFF/oBUFF/tBUFF), phase scheduling and the CCU
-//!   request/wait handshake (Fig. 4),
-//! * [`switch`] — the programmable switch with hierarchical packet
-//!   addressing and zero-check (Fig. 6),
-//! * [`bus`] — the global IO bus, SRAM broadcast with zero-check and
-//!   per-NeuroCell event flags (Fig. 3),
 //! * [`hw`] — a spike-accurate functional cosimulation built from real
 //!   crossbars, validated against the algorithm-level SNN simulator.
 //!
@@ -53,16 +50,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bus;
 pub mod config;
 pub mod fabric;
 pub mod hw;
 pub mod map;
-pub mod mpe;
 pub mod sim;
-pub mod switch;
 
-pub use bus::{BroadcastOutcome, GlobalBus, NcTag};
 pub use config::ResparcConfig;
 pub use fabric::{
     AdmitError, FabricPool, FabricScheduler, PackingPolicy, RequestId, ScheduledTenant,
@@ -73,15 +66,12 @@ pub use map::{
     BatchPlacement, BatchPlacer, LayerPartition, LayerReport, MapError, Mapper, Mapping,
     MappingReport, PartitionOptions, Placement, PlacementRequest, PlacementStrategy, Tile,
 };
-pub use mpe::{CcuLink, CurrentControlUnit, MacroProcessingEngine, McaBuffers, PhaseSchedule};
 pub use sim::event::{EventLayerStats, EventReport, EventSimulator, ReplayEngine, TraceReplay};
 pub use sim::plan::ReplayPlan;
 pub use sim::{ExecutionReport, LayerExecStats, Simulator};
-pub use switch::{PacketAddress, ProgrammableSwitch, SpikePacket, SwitchCoord, SwitchOutput};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::bus::{BroadcastOutcome, GlobalBus, NcTag};
     pub use crate::config::ResparcConfig;
     pub use crate::fabric::{
         AdmitError, FabricPool, FabricScheduler, NcHealth, PackingPolicy, RequestId,
@@ -93,15 +83,9 @@ pub mod prelude {
         BatchPlacement, BatchPlacer, LayerPartition, LayerReport, MapError, Mapper, Mapping,
         MappingReport, PartitionOptions, Placement, PlacementRequest, PlacementStrategy, Tile,
     };
-    pub use crate::mpe::{
-        CcuLink, CurrentControlUnit, MacroProcessingEngine, McaBuffers, PhaseSchedule,
-    };
     pub use crate::sim::event::{
         EventLayerStats, EventReport, EventSimulator, ReplayEngine, TraceReplay,
     };
     pub use crate::sim::plan::ReplayPlan;
     pub use crate::sim::{ExecutionReport, LayerExecStats, Simulator};
-    pub use crate::switch::{
-        PacketAddress, ProgrammableSwitch, SpikePacket, SwitchCoord, SwitchOutput,
-    };
 }

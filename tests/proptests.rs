@@ -603,7 +603,7 @@ proptest! {
     /// each tenant's origin-0 probe equals `run_weighted` over the
     /// resident, translated tenants, bit for bit — after evictions and a
     /// `defragment` moved them, under every packing policy, at any
-    /// weights and on both replay engines.
+    /// weights, and whichever engine replayed the probes.
     #[test]
     fn probe_replays_interleave_like_resident_replays(
         shapes in proptest::collection::vec(0usize..3, 1..5),
@@ -645,7 +645,7 @@ proptest! {
         pool.defragment();
 
         let weights = &weights[..tenants.len()];
-        let sim = SharedEventSimulator::with_engine(&pool, engine);
+        let sim = SharedEventSimulator::new(&pool);
         let traces: Vec<(TenantId, &SpikeTrace)> =
             tenants.iter().map(|(id, _, trace)| (*id, trace)).collect();
         let replays: Vec<TraceReplay> = tenants
@@ -1267,7 +1267,8 @@ proptest! {
     /// The replay-engine contract end to end: the compiled word-level plan
     /// engine reproduces the scalar reference engine bit for bit — the
     /// dedicated [`EventReport`], and the weighted multi-tenant
-    /// [`SharedReport`] built from the same replay core — on random MLP
+    /// [`SharedReport`] interleaved from a reference replay against
+    /// `run_weighted`, which replays on the plan engine — on random MLP
     /// and small conv/pool networks, MCA sizes, packet widths (windows
     /// that straddle two words, and windows wider than 64) and
     /// event-driven settings. Each trace chains TTFS, bursty-head, silent
@@ -1355,11 +1356,10 @@ proptest! {
 
         let mut pool = FabricPool::new(cfg);
         let id = pool.admit(&net, "t").expect("one small tenant fits");
-        let pairs = [(id, &trace)];
-        let shared_ref = SharedEventSimulator::with_engine(&pool, ReplayEngine::Reference)
-            .run_weighted(&pairs, &[weight]);
-        let shared_plan = SharedEventSimulator::with_engine(&pool, ReplayEngine::Plan)
-            .run_weighted(&pairs, &[weight]);
+        let sim = SharedEventSimulator::new(&pool);
+        let reference = EventSimulator::with_engine(&mapping, ReplayEngine::Reference).replay(&trace);
+        let shared_ref = sim.interleave(&[(id, &reference)], &[weight]);
+        let shared_plan = sim.run_weighted(&[(id, &trace)], &[weight]);
         prop_assert_eq!(&shared_ref, &shared_plan, "weighted SharedReport must be bit-identical");
     }
 }

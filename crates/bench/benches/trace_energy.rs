@@ -27,20 +27,29 @@ fn mnist_stimulus() -> Vec<f32> {
     (0..784).map(|i| (i % 9) as f32 / 9.0).collect()
 }
 
-/// Capturing a 20-step trace on the compiled kernels (the recorder's
-/// overhead on top of a plain spiking run).
+/// Capturing a 20-step trace on the compiled kernels: the whole
+/// `run_traced` call, spiking run and recording together. `mnist_mlp_20steps`
+/// captures a Poisson rate raster; `mnist_mlp_silent_20steps` captures an
+/// all-silent one, where every layer-step is skipped, so its cost is the
+/// runner and the recorder alone. CI gates their ratio.
 fn bench_capture_trace(c: &mut Criterion) {
     let net = mnist_mlp_net();
     let mut enc = PoissonEncoder::new(0.4, 5);
     let raster = enc.encode(&mnist_stimulus(), STEPS);
+    let silent = SpikeRaster::zeroed(784, STEPS);
     let mut group = c.benchmark_group("trace_capture");
     group.sample_size(10);
-    group.bench_function("mnist_mlp_20steps", |b| {
-        b.iter(|| {
-            let mut runner = net.spiking();
-            black_box(runner.run_traced(black_box(&raster)))
-        })
-    });
+    for (id, raster) in [
+        ("mnist_mlp_20steps", &raster),
+        ("mnist_mlp_silent_20steps", &silent),
+    ] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let mut runner = net.spiking();
+                black_box(runner.run_traced(black_box(raster)))
+            })
+        });
+    }
     group.finish();
 }
 

@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use crate::config::ResparcConfig;
     use crate::map::Mapper;
-    use resparc_neuro::encoding::RegularEncoder;
+    use resparc_neuro::encoding::{RegularEncoder, TtfsEncoder};
     use resparc_neuro::network::Network;
     use resparc_neuro::topology::Topology;
 
@@ -247,16 +247,23 @@ mod tests {
 
     #[test]
     fn hardware_matches_functional_simulator() {
-        let (net, mut hw) = build_pair(11);
-        let enc = RegularEncoder::new(1.0);
         let stimulus: Vec<f32> = (0..24).map(|i| (i as f32) / 24.0).collect();
-        let raster = enc.encode(&stimulus, 60);
-
-        let mut runner = net.spiking();
-        for (t, step) in raster.iter().enumerate() {
-            let sw = runner.step(step).clone();
-            let hwout = hw.step(step);
-            assert_eq!(sw, hwout, "output spikes diverged at timestep {t}");
+        // A rate raster, and a TTFS raster with a long silent tail on a
+        // network whose armed residues keep firing after the input goes
+        // quiet: this full walk checks the functional runner's skip of
+        // silent layer-steps.
+        let cases = [
+            (11, RegularEncoder::new(1.0).encode(&stimulus, 60)),
+            (5, TtfsEncoder::with_window(2).encode(&stimulus, 60)),
+        ];
+        for (seed, raster) in &cases {
+            let (net, mut hw) = build_pair(*seed);
+            let mut runner = net.spiking();
+            for (t, step) in raster.iter().enumerate() {
+                let sw = runner.step(step).clone();
+                let hwout = hw.step(step);
+                assert_eq!(sw, hwout, "output spikes diverged at timestep {t}");
+            }
         }
     }
 

@@ -72,7 +72,8 @@ impl Layer {
     ///
     /// # Panics
     ///
-    /// Panics on a weight-count mismatch or non-positive threshold.
+    /// Panics on a weight-count mismatch or a threshold that is not
+    /// strictly positive and finite.
     pub fn new(spec: LayerSpec, weights: Vec<f32>, threshold: f32) -> Self {
         assert_eq!(
             weights.len(),
@@ -80,7 +81,7 @@ impl Layer {
             "weight count mismatch for {} layer",
             spec.kind()
         );
-        assert!(threshold > 0.0, "threshold must be positive");
+        assert_valid_threshold(threshold);
         Self {
             spec,
             weights,
@@ -112,11 +113,20 @@ impl Layer {
     ///
     /// # Panics
     ///
-    /// Panics if `threshold` is not positive.
+    /// Panics if `threshold` is not strictly positive and finite.
     pub fn set_threshold(&mut self, threshold: f32) {
-        assert!(threshold > 0.0, "threshold must be positive");
+        assert_valid_threshold(threshold);
         self.threshold = threshold;
     }
+}
+
+/// The check [`NeuronConfig::integrate_and_fire`] makes, made where a
+/// threshold enters a [`Layer`] rather than on a runner's first step.
+fn assert_valid_threshold(threshold: f32) {
+    assert!(
+        threshold > 0.0 && threshold.is_finite(),
+        "threshold must be positive and finite, got {threshold}"
+    );
 }
 
 /// A complete weighted network.
@@ -374,11 +384,14 @@ fn gaussian(rng: &mut StdRng) -> f32 {
 /// Event-driven functional SNN simulator over a [`Network`]'s compiled
 /// kernels.
 ///
-/// Each [`SnnRunner::step`] consumes one timestep of input spikes,
-/// propagates them through every layer (all layers update concurrently on
-/// the previous step's spikes is *not* assumed — the standard feed-forward
-/// per-step sweep of the Diehl conversion flow is used) and returns the
-/// output layer's spikes.
+/// Each [`SnnRunner::step`] consumes one timestep of input spikes and
+/// sweeps the layers in feed-forward order, the per-step sweep of the
+/// Diehl conversion flow: layer `l` integrates the spikes layer `l - 1`
+/// emitted in the *same* step, then the output layer's spikes are
+/// returned. Like a RESPARC NeuroCell behind its zero-check, a layer whose
+/// input step is silent and none of whose membranes is still at or above
+/// threshold does no work on that step: no current is accumulated, no
+/// membrane is updated and it emits nothing.
 ///
 /// The runner owns an `Arc` of the compiled planes, so constructing one is
 /// cheap (no synapse enumeration) and runners are freely movable across
@@ -390,6 +403,9 @@ pub struct SnnRunner {
     /// Per-layer input-current scratch, reused across steps.
     currents: Vec<Vec<f32>>,
     spikes: Vec<SpikeVector>,
+    /// Per layer: some membrane ended its last update at or above
+    /// threshold, so it fires again even on a silent input step.
+    armed: Vec<bool>,
     /// Cumulative spike counts per layer (for activity statistics).
     layer_spikes: Vec<u64>,
     /// Cumulative synaptic events (active-input fan-out sum) per layer.
@@ -433,6 +449,7 @@ impl SnnRunner {
             membranes,
             currents,
             spikes,
+            armed: vec![false; n_layers],
             layer_spikes: vec![0; n_layers],
             synaptic_events: vec![0; n_layers],
             steps_run: 0,
@@ -445,6 +462,15 @@ impl SnnRunner {
     ///
     /// Accepts anything spike-shaped — `&SpikeVector` or a borrowed
     /// raster step ([`SpikeView`](crate::spike::SpikeView)).
+    ///
+    /// Skipping a silent layer whose membranes all sit below threshold is
+    /// exact because the runner's neurons are pure integrate-and-fire
+    /// (leak 1, no refractory period, subtractive reset): a zero current
+    /// leaves every potential as it is, so only a neuron whose post-reset
+    /// residue is still at or above threshold could fire, and only a
+    /// neuron that just fired can hold one. Outcomes, spikes and
+    /// synaptic-event counts equal those of the full walk in
+    /// [`reference::RefSnnRunner`].
     ///
     /// # Panics
     ///
@@ -459,26 +485,32 @@ impl SnnRunner {
         let n_layers = self.kernels.layer_count();
         for li in 0..n_layers {
             let layer = self.kernels.layer(li);
-            let events = {
-                let in_spikes = if li == 0 {
-                    input
-                } else {
-                    self.spikes[li - 1].view()
-                };
-                let currents = &mut self.currents[li];
-                currents.fill(0.0);
-                layer.accumulate_spikes(in_spikes, currents)
-            };
-            self.synaptic_events[li] += events;
-            let cfg = NeuronConfig::integrate_and_fire(layer.threshold());
-            let out = &mut self.spikes[li];
+            let (done, rest) = self.spikes.split_at_mut(li);
+            let in_spikes = if li == 0 { input } else { done[li - 1].view() };
+            let out = &mut rest[0];
             out.clear();
-            for (o, m) in self.membranes[li].iter_mut().enumerate() {
-                if m.step(self.currents[li][o], &cfg) {
+            if in_spikes.is_silent() && !self.armed[li] {
+                continue;
+            }
+            let currents = &mut self.currents[li];
+            currents.fill(0.0);
+            self.synaptic_events[li] += layer.accumulate_spikes(in_spikes, currents);
+            let threshold = layer.threshold();
+            let cfg = NeuronConfig::integrate_and_fire(threshold);
+            let (mut fired, mut armed) = (0u64, false);
+            for (o, (m, &current)) in self.membranes[li]
+                .iter_mut()
+                .zip(currents.iter())
+                .enumerate()
+            {
+                if m.step(current, &cfg) {
                     out.set(o, true);
-                    self.layer_spikes[li] += 1;
+                    fired += 1;
+                    armed |= m.potential() >= threshold;
                 }
             }
+            self.layer_spikes[li] += fired;
+            self.armed[li] = armed;
         }
         self.steps_run += 1;
         let out = &self.spikes[n_layers - 1];
@@ -621,6 +653,7 @@ impl SnnRunner {
         for s in &mut self.spikes {
             s.clear();
         }
+        self.armed.fill(false);
         self.layer_spikes.fill(0);
         self.synaptic_events.fill(0);
         self.output_counts.fill(0);
@@ -1191,5 +1224,25 @@ mod tests {
             vec![1.0; 3],
             1.0,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be positive and finite, got inf")]
+    fn layer_infinite_threshold_panics() {
+        let _ = Layer::new(
+            LayerSpec::Dense {
+                inputs: 2,
+                outputs: 2,
+            },
+            vec![1.0; 4],
+            f32::INFINITY,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be positive and finite, got inf")]
+    fn set_infinite_threshold_panics() {
+        let mut net = Network::random(Topology::mlp(2, &[2]), 0, 1.0);
+        net.layers_mut()[0].set_threshold(f32::INFINITY);
     }
 }

@@ -144,8 +144,13 @@ fn equivalence_survives_normalisation_and_quantization() {
 #[test]
 fn batched_sweep_matches_reference_loop() {
     let net = mlp_net(31);
-    let enc = RegularEncoder::new(0.8);
-    let rasters: Vec<SpikeRaster> = (0..12).map(|p| enc.encode(&stimulus(48, p), 20)).collect();
+    let rate = RegularEncoder::new(0.8);
+    // TTFS with a silent tail: most layer-steps see no input spike.
+    let ttfs = TtfsEncoder::with_window(8);
+    let rasters: Vec<SpikeRaster> = (0..12)
+        .map(|p| rate.encode(&stimulus(48, p), 20))
+        .chain((0..12).map(|p| ttfs.encode(&stimulus(48, p), 20)))
+        .collect();
     let batched = net.spiking_batch(&rasters);
     for (k, raster) in rasters.iter().enumerate() {
         let mut reference = reference::RefSnnRunner::new(&net);

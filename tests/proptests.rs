@@ -170,13 +170,18 @@ proptest! {
 
     /// Compiled kernels reproduce the closure-walk reference path exactly
     /// (bit-identical activations, spike-identical outputs) on random MLP
-    /// and CNN topologies with random weights.
+    /// and CNN topologies with random weights. The rasters are rate, TTFS,
+    /// TTFS with a silent tail, and all-silent, and the weights are scaled
+    /// up to leave residues at or above threshold, so the runner's silent
+    /// layer-steps meet armed membranes.
     #[test]
     fn compiled_kernels_match_reference_on_random_topologies(
         sizes in proptest::collection::vec(1usize..9, 1..4),
         seed in 0u64..1_000_000,
         side in 8usize..12,
         kind in prop_oneof![Just(0usize), Just(1)],
+        encoding in 0usize..4,
+        scale in prop_oneof![Just(1.0f32), Just(3.0)],
     ) {
         use resparc_suite::resparc_neuro::network::reference;
 
@@ -192,7 +197,7 @@ proptest! {
                 .expect("consistent")
         };
         let inputs = topology.input_count();
-        let net = Network::random(topology, seed, 1.0);
+        let net = Network::random(topology, seed, scale);
         let x: Vec<f32> = (0..inputs)
             .map(|i| ((i as u64 * 13 + seed) % 17) as f32 / 17.0)
             .collect();
@@ -201,8 +206,12 @@ proptest! {
             reference::forward_analog_all(&net, &x)
         );
 
-        let enc = RegularEncoder::new(1.0);
-        let raster = enc.encode(&x, 8);
+        let raster = match encoding {
+            0 => RegularEncoder::new(1.0).encode(&x, 8),
+            1 => TtfsEncoder::new().encode(&x, 8),
+            2 => TtfsEncoder::with_window(2).encode(&x, 8),
+            _ => SpikeRaster::zeroed(inputs, 8),
+        };
         let mut compiled = net.spiking();
         let mut oracle = reference::RefSnnRunner::new(&net);
         for step in raster.iter() {

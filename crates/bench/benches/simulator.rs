@@ -58,17 +58,27 @@ fn bench_mapper(c: &mut Criterion) {
     group.bench_function("mnist_mlp_64_general", |b| {
         b.iter(|| general(black_box(&mlp)))
     });
-    let cnn = resparc_suite::resparc_workloads::mnist_cnn().topology;
-    group.bench_function("mnist_cnn_64", |b| {
-        b.iter(|| {
-            Mapper::new(ResparcConfig::resparc_64())
-                .map(black_box(&cnn))
-                .unwrap()
-        })
-    });
-    group.bench_function("mnist_cnn_64_general", |b| {
-        b.iter(|| general(black_box(&cnn)))
-    });
+    for (name, cnn) in [
+        (
+            "mnist_cnn",
+            resparc_suite::resparc_workloads::mnist_cnn().topology,
+        ),
+        (
+            "cifar10_cnn",
+            resparc_suite::resparc_workloads::cifar10_cnn().topology,
+        ),
+    ] {
+        group.bench_function(format!("{name}_64").as_str(), |b| {
+            b.iter(|| {
+                Mapper::new(ResparcConfig::resparc_64())
+                    .map(black_box(&cnn))
+                    .unwrap()
+            })
+        });
+        group.bench_function(format!("{name}_64_general").as_str(), |b| {
+            b.iter(|| general(black_box(&cnn)))
+        });
+    }
     group.finish();
 }
 

@@ -77,14 +77,6 @@ pub struct TenantReport {
     pub layers: Vec<EventLayerStats>,
 }
 
-impl TenantReport {
-    /// Dynamic energy plus the amortized pool-leakage share — the
-    /// tenant's all-in energy bill for this inference.
-    pub fn billed_energy(&self) -> Energy {
-        self.energy.total() + self.leakage_share
-    }
-}
-
 /// Report of one shared replay round: every tenant's trace interleaved
 /// through the pool.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,15 +124,6 @@ impl SharedReport {
     /// `Σ tenant dynamic + pool_leakage_power × latency`.
     pub fn pool_energy(&self) -> Energy {
         self.energy.total() + self.idle_leakage
-    }
-
-    /// Mean all-in energy per inference (pool energy over the tenant
-    /// count).
-    pub fn pool_energy_per_inference(&self) -> Energy {
-        if self.tenants.is_empty() {
-            return Energy::ZERO;
-        }
-        self.pool_energy() * (1.0 / self.tenants.len() as f64)
     }
 
     /// Pool-energy × makespan (pJ·ns); `0.0` when not finite.

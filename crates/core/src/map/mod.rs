@@ -8,10 +8,10 @@
 //! at NeuroCell origin 0; a [`FabricPool`](crate::fabric::FabricPool)
 //! moves it into pool coordinates with [`Placement::translated_to`].
 //!
-//! The mapper is *technology-aware* (paper abstract): it can rank
-//! candidate MCA sizes by mapped energy via
-//! [`Mapper::recommend_mca_size`] and warns when the configured size
-//! exceeds what the device technology supports reliably.
+//! The mapper is *technology-aware* (paper abstract): it can rank the
+//! candidate MCA sizes the device technology supports by mapped device
+//! footprint via [`Mapper::recommend_mca_size`], and it warns when the
+//! configured size exceeds what the technology supports reliably.
 
 pub mod optimize;
 pub mod partition;
@@ -19,6 +19,7 @@ pub mod placement;
 
 use std::sync::{Arc, OnceLock};
 
+use resparc_device::nonideal::combined_error;
 use resparc_device::sizing::max_feasible_size;
 use resparc_neuro::network::Network;
 use resparc_neuro::topology::Topology;
@@ -177,10 +178,15 @@ impl Mapper {
     }
 
     /// Technology-aware size recommendation: maps `topology` at every
-    /// feasible candidate size and returns `(size, mapped MCA count)`
-    /// pairs, smallest-footprint first. The full energy ranking lives in
-    /// the simulator; this structural ranking is the mapper-level proxy
-    /// (fewer, fuller crossbars).
+    /// candidate size whose combined non-ideality error stays within the
+    /// mapper's error budget (the rule of
+    /// [`feasible_sizes`](resparc_device::sizing::feasible_sizes)) and
+    /// returns `(size, device footprint)` pairs, smallest footprint first.
+    /// The footprint is the memristor pairs of the mapped crossbars
+    /// ([`device_footprint`](crate::sim::cost::device_footprint)). The full
+    /// energy ranking lives in the simulator; this structural ranking is
+    /// the mapper-level proxy (fewer, fuller crossbars). A device that
+    /// supports no candidate yields an empty ranking.
     pub fn recommend_mca_size(
         &self,
         topology: &Topology,
@@ -188,10 +194,11 @@ impl Mapper {
     ) -> Vec<(usize, usize)> {
         let mut out: Vec<(usize, usize)> = candidates
             .iter()
+            .filter(|&&size| combined_error(&self.config.device, size) <= self.error_budget)
             .filter_map(|&size| {
                 let mut cfg = self.config.clone();
                 cfg.mca_size = size;
-                // Infeasible candidate sizes are skipped, not fatal.
+                // A size the configuration rejects is skipped, not fatal.
                 let m = Mapper::new(cfg).map(topology).ok()?;
                 // Footprint proxy shared with the simulators' cost math.
                 Some((size, crate::sim::cost::device_footprint(&m.placement, size)))
@@ -319,6 +326,7 @@ pub struct LayerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resparc_device::memristor::MemristorSpec;
     use resparc_neuro::topology::{ChannelTable, Padding, Shape};
 
     #[test]
@@ -415,6 +423,27 @@ mod tests {
         // Smallest device footprint first; for sparse nets that is the
         // smallest array.
         assert_eq!(ranking.first().map(|r| r.0), Some(32));
+    }
+
+    #[test]
+    fn recommendation_skips_sizes_the_technology_does_not_support() {
+        let cnn = Topology::builder(Shape::new(12, 12, 1))
+            .conv(4, 5, Padding::Valid, ChannelTable::Full)
+            .dense(10)
+            .build()
+            .unwrap();
+        let candidates = [16, 32, 64, 128, 256];
+        // The paper's device supports up to 64 at the 0.15 budget.
+        let paper = Mapper::new(ResparcConfig::resparc_64()).recommend_mca_size(&cnn, &candidates);
+        let mut sizes: Vec<usize> = paper.iter().map(|&(size, _)| size).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [16, 32, 64]);
+        // The spintronic device supports none.
+        let mut cfg = ResparcConfig::resparc_64();
+        cfg.device = MemristorSpec::spintronic();
+        assert!(Mapper::new(cfg)
+            .recommend_mca_size(&cnn, &candidates)
+            .is_empty());
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //! [`partition_layer`], runs the same packer over a [`ConnectivityMatrix`];
 //! it is the oracle both fast routes are tested against. Outputs are
 //! ordered by (first input, output id) with a counting sort, and packing
-//! costs O(1) work per synapse.
+//! costs O(1) work per synapse, except for a repeated field: with input
+//! sharing on and details off, an output whose field repeats the previous
+//! column's in a tile with a free column is added in O(1), since all its
+//! rows are already there. That covers every map of a full-table conv at
+//! one position, which the sort makes consecutive.
 //!
 //! The fundamental invariant — checked here and property-tested — is that
 //! **every synapse of the layer lands in exactly one tile**.
@@ -274,7 +278,9 @@ impl OpenTile {
         }
     }
 
-    /// Closes the open tile and leaves `self` empty for the next one.
+    /// Closes the open tile and leaves `self` empty for the next one. The
+    /// next tile's row buffer starts at the capacity this one reached, so
+    /// it does not regrow from empty.
     fn close(
         &mut self,
         layer: usize,
@@ -284,7 +290,8 @@ impl OpenTile {
         for &i in &self.row_inputs {
             self.slot_of[i as usize] = NO_ROW;
         }
-        let row_inputs = std::mem::take(&mut self.row_inputs);
+        let capacity = self.row_inputs.capacity();
+        let row_inputs = std::mem::replace(&mut self.row_inputs, Vec::with_capacity(capacity));
         let tile = Tile {
             layer,
             chunk: chunk_phase,
@@ -424,6 +431,11 @@ trait Fields {
     fn fan_in(&self, o: usize) -> usize;
     /// The smallest input of output `o`'s field; 0 if it is empty.
     fn first_input(&self, o: usize) -> usize;
+    /// Whether outputs `a` and `b` are known to read the same inputs. A
+    /// source that cannot tell cheaply answers `false`.
+    fn same_inputs(&self, _a: usize, _b: usize) -> bool {
+        false
+    }
     /// Entries `range` of output `o`'s sorted field, and their weight ids
     /// when `record` is set (otherwise the ids may be empty). A source
     /// that has no stored fields writes them into `buf`.
@@ -462,6 +474,10 @@ impl Fields for ReceptiveFields {
 
     fn first_input(&self, o: usize) -> usize {
         ReceptiveFields::first_input(self, o)
+    }
+
+    fn same_inputs(&self, a: usize, b: usize) -> bool {
+        ReceptiveFields::same_inputs(self, a, b)
     }
 
     fn chunk<'a>(
@@ -544,6 +560,15 @@ fn output_order(fields: &impl Fields) -> Vec<u32> {
 /// The one packer: sweeps fan-in chunks and packs each output's chunk
 /// into the open tile, closing it when the chunk's rows or one more
 /// column would not fit.
+///
+/// With input sharing on and details off, a chunk whose output reads the
+/// same inputs ([`Fields::same_inputs`]) as the last output pushed in this
+/// phase is added by count alone when the open tile is non-empty and has
+/// a free column: the previous column put every input of the chunk on a
+/// row, so the chunk adds no row and needs no probe. Without input
+/// sharing each column takes private rows, and with details each synapse
+/// records its slot, so both take the general step; a source that cannot
+/// tell repeats (the connectivity matrix) always does.
 fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> LayerPartition {
     let n = options.mca_size;
     assert!(n > 0, "MCA size must be non-zero");
@@ -571,7 +596,13 @@ fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> Layer
     // chunk k of every output covers the identical row window.
     let mut open = OpenTile::new(inputs);
     let mut buf = FieldBuf::default();
+    // Only with input sharing on and details off is a repeated field's
+    // column nothing but a column count and a synapse count.
+    let repeats = options.input_sharing && !record;
     for k in 0..max_degree as usize {
+        // The last output pushed in this phase; its column is in the open
+        // tile whenever that tile is non-empty.
+        let mut prev = None;
         for &o in &order {
             let o = o as usize;
             let fan_in = fan_ins[o];
@@ -580,6 +611,19 @@ fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> Layer
                 continue;
             }
             let range = start..(start + n).min(fan_in);
+            if repeats
+                && !open.is_empty()
+                && open.cols < n as u32
+                && prev.is_some_and(|p| fields.same_inputs(p, o))
+            {
+                // Every input of the chunk already has a row in the open
+                // tile, so `rows_after` would find no new row and
+                // `push_column` would only count.
+                open.cols += 1;
+                open.synapses += range.len() as u32;
+                prev = Some(o);
+                continue;
+            }
             let (chunk_inputs, chunk_wids) = fields.chunk(o, range, record, &mut buf);
 
             let fits_rows = open.rows_after(chunk_inputs, options.input_sharing) <= n as u32;
@@ -600,6 +644,7 @@ fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> Layer
                 options.input_sharing,
                 record,
             );
+            prev = Some(o);
             debug_assert!(
                 open.row_inputs.len() <= n,
                 "tile row overflow: {} > {n}",
@@ -825,6 +870,52 @@ mod tests {
         let p = partition_layer(&c, 0, &PartitionOptions::new(64));
         assert_eq!(p.max_degree, 4); // ceil(216/64)
         assert_eq!(p.total_synapses, c.synapse_count() as u64);
+    }
+
+    #[test]
+    fn repeated_fields_pack_like_the_general_path() {
+        let conv = |input, maps, padding, table| LayerSpec::Conv2d {
+            input,
+            maps,
+            kernel: 3,
+            stride: 1,
+            padding,
+            table,
+        };
+        let layers = [
+            // 40 maps outnumber every MCA's columns, so one position's run
+            // of repeated fields spans tiles; fan-in 18 spans MCA 8 and 16
+            // rows, so the runs repeat in every phase.
+            conv(Shape::new(6, 6, 2), 40, Padding::Valid, ChannelTable::Full),
+            // Edge positions share a first input, so their runs interleave.
+            conv(Shape::new(6, 6, 2), 40, Padding::Same, ChannelTable::Full),
+            // Maps 0, 3 and 6 read input map 0, maps 1, 4 and 7 map 1, ...
+            conv(
+                Shape::new(6, 6, 3),
+                9,
+                Padding::Valid,
+                ChannelTable::Banded { fan: 1 },
+            ),
+        ];
+        for spec in &layers {
+            let c = conn(spec);
+            for n in [8usize, 16, 32] {
+                for (input_sharing, record_details) in
+                    [(true, false), (true, true), (false, false), (false, true)]
+                {
+                    let options = PartitionOptions {
+                        mca_size: n,
+                        input_sharing,
+                        record_details,
+                    };
+                    assert_eq!(
+                        partition_spec(spec, 0, &options),
+                        partition_layer(&c, 0, &options),
+                        "{spec:?} under {options:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

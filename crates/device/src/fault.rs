@@ -134,13 +134,6 @@ impl FaultPlan {
         }
     }
 
-    /// The same plan with a different share of stuck cells pinned at
-    /// `G_max`.
-    pub fn with_stuck_at_max_share(mut self, share: f64) -> Self {
-        self.stuck_at_max_share = share;
-        self
-    }
-
     /// The same plan with deterministic conductance drift.
     pub fn with_drift(mut self, drift: f64) -> Self {
         self.drift = drift;

@@ -536,6 +536,21 @@ impl ReceptiveFields {
         self.fan_maps * row.taps.len() * col.taps.len()
     }
 
+    /// Whether outputs `a` and `b` read the same inputs: they sit at the
+    /// same position and their maps read the same input maps (their
+    /// weights may differ). It compares the two maps' channel lists, so it
+    /// costs one step per input map an output map reads, not one per
+    /// synapse.
+    pub fn same_inputs(&self, a: usize, b: usize) -> bool {
+        let plane = self.output.height * self.output.width;
+        let channels = |o: usize| {
+            self.channels[o / plane * self.fan_maps..][..self.fan_maps]
+                .iter()
+                .map(|&(channel, _)| channel)
+        };
+        a % plane == b % plane && channels(a).eq(channels(b))
+    }
+
     /// The smallest input id in output `o`'s field, or 0 if the field is
     /// empty.
     pub fn first_input(&self, o: usize) -> usize {
@@ -1063,6 +1078,62 @@ mod tests {
         }
         .receptive_fields()
         .is_none());
+    }
+
+    #[test]
+    fn same_inputs_holds_only_for_identical_fields() {
+        let banded = |padding| LayerSpec::Conv2d {
+            input: Shape::new(4, 4, 3),
+            maps: 9,
+            kernel: 3,
+            stride: 1,
+            padding,
+            table: ChannelTable::Banded { fan: 1 },
+        };
+        let full = LayerSpec::Conv2d {
+            input: Shape::new(5, 5, 2),
+            maps: 4,
+            kernel: 3,
+            stride: 1,
+            padding: Padding::Valid,
+            table: ChannelTable::Full,
+        };
+        let pool = LayerSpec::AvgPool {
+            input: Shape::new(4, 4, 2),
+            window: 2,
+        };
+        for l in [banded(Padding::Valid), banded(Padding::Same), full, pool] {
+            let fields = l.receptive_fields().unwrap();
+            let field = |o: usize| {
+                let mut inputs = Vec::new();
+                fields.extend_field(o, 0..fields.fan_in(o), &mut inputs, None);
+                inputs
+            };
+            let all: Vec<Vec<u32>> = (0..fields.outputs()).map(field).collect();
+            for a in 0..all.len() {
+                assert!(fields.same_inputs(a, a));
+                for b in 0..all.len() {
+                    if fields.same_inputs(a, b) {
+                        assert_eq!(all[a], all[b], "{l:?}: outputs {a} and {b}");
+                    }
+                }
+            }
+        }
+        // Maps 0, 3 and 6 of a fan-1 table over 3 input maps all read
+        // input map 0; map 1 reads map 1. Every map of a full table reads
+        // every input map. A pool's maps read their own channels.
+        let at = |l: &LayerSpec, map| l.output_shape().unwrap().index(map, 1, 1);
+        let (b, f) = (banded(Padding::Same), full);
+        let (bf, ff, pf) = (
+            b.receptive_fields().unwrap(),
+            f.receptive_fields().unwrap(),
+            pool.receptive_fields().unwrap(),
+        );
+        assert!(bf.same_inputs(at(&b, 0), at(&b, 3)) && bf.same_inputs(at(&b, 3), at(&b, 6)));
+        assert!(!bf.same_inputs(at(&b, 0), at(&b, 1)));
+        assert!(!bf.same_inputs(at(&b, 0), b.output_shape().unwrap().index(3, 1, 2)));
+        assert!(ff.same_inputs(at(&f, 0), at(&f, 3)));
+        assert!(!pf.same_inputs(at(&pool, 0), at(&pool, 1)));
     }
 
     #[test]

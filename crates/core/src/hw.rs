@@ -15,7 +15,7 @@
 
 use resparc_device::crossbar::Crossbar;
 use resparc_neuro::network::Network;
-use resparc_neuro::neuron::{Membrane, NeuronConfig};
+use resparc_neuro::neuron::Membrane;
 use resparc_neuro::spike::{AsSpikeView, SpikeVector};
 
 use crate::map::Mapping;
@@ -65,7 +65,8 @@ struct HwTile {
 struct HwLayer {
     tiles: Vec<HwTile>,
     membranes: Vec<Membrane>,
-    neuron_cfg: NeuronConfig,
+    /// The layer's threshold over its weight scale, `threshold / wmax`.
+    threshold: f32,
 }
 
 /// The functional hardware model of a mapped network.
@@ -132,7 +133,7 @@ impl HwCore {
             layers.push(HwLayer {
                 tiles,
                 membranes: vec![Membrane::new(); net_layer.spec().output_count()],
-                neuron_cfg: NeuronConfig::integrate_and_fire(net_layer.threshold() / wmax),
+                threshold: net_layer.threshold() / wmax,
             });
         }
 
@@ -193,7 +194,7 @@ impl HwCore {
             }
             let mut spikes = SpikeVector::new(layer.membranes.len());
             for (o, m) in layer.membranes.iter_mut().enumerate() {
-                if m.step(currents[o] as f32, &layer.neuron_cfg) {
+                if m.step(currents[o] as f32, layer.threshold) {
                     spikes.set(o, true);
                 }
             }

@@ -177,10 +177,10 @@ impl Mapper {
         })
     }
 
-    /// Technology-aware size recommendation: maps `topology` at every
-    /// candidate size whose combined non-ideality error stays within the
-    /// mapper's error budget (the rule of
-    /// [`feasible_sizes`](resparc_device::sizing::feasible_sizes)) and
+    /// Technology-aware size recommendation: maps `topology` with this
+    /// mapper's options at every candidate size whose combined
+    /// non-ideality error stays within the mapper's error budget (the rule
+    /// of [`feasible_sizes`](resparc_device::sizing::feasible_sizes)) and
     /// returns `(size, device footprint)` pairs, smallest footprint first.
     /// The footprint is the memristor pairs of the mapped crossbars
     /// ([`device_footprint`](crate::sim::cost::device_footprint)). The full
@@ -196,10 +196,10 @@ impl Mapper {
             .iter()
             .filter(|&&size| combined_error(&self.config.device, size) <= self.error_budget)
             .filter_map(|&size| {
-                let mut cfg = self.config.clone();
-                cfg.mca_size = size;
+                let mut config = self.config.clone();
+                config.mca_size = size;
                 // A size the configuration rejects is skipped, not fatal.
-                let m = Mapper::new(cfg).map(topology).ok()?;
+                let m = Mapper { config, ..*self }.map(topology).ok()?;
                 // Footprint proxy shared with the simulators' cost math.
                 Some((size, crate::sim::cost::device_footprint(&m.placement, size)))
             })
@@ -466,5 +466,23 @@ mod tests {
             .placement
             .mcas_used;
         assert!(without > with, "without {without} vs with {with}");
+
+        // The size ranking maps each candidate under the ablated mapper's
+        // own options, not a default mapper's.
+        let ranking = Mapper::new(ResparcConfig::resparc_64())
+            .without_input_sharing()
+            .recommend_mca_size(&cnn, &[16, 32, 64]);
+        assert_eq!(ranking.len(), 3);
+        for (size, footprint) in ranking {
+            let direct = Mapper::new(ResparcConfig::with_mca_size(size))
+                .without_input_sharing()
+                .map(&cnn)
+                .unwrap();
+            assert_eq!(
+                footprint,
+                crate::sim::cost::device_footprint(&direct.placement, size),
+                "MCA {size}"
+            );
+        }
     }
 }

@@ -131,7 +131,7 @@ pub struct TtfsRebalanceReport {
 /// ordering, which is exactly what [`Readout::FirstSpike`] decodes.
 ///
 /// Smaller `latency_target` fires earlier (better latency/energy under
-/// [early exit](crate::network::SnnRunner::run_early_exit), noisier
+/// [early exit](crate::network::SnnRunner::run_traced_early_exit), noisier
 /// ordering); larger waits for more evidence. `0.25`–`0.5` is a good
 /// range for Diehl-normalized MLPs.
 ///

@@ -2,9 +2,10 @@
 //! trains, and the matching readout rules for classifying the output.
 //!
 //! SNNs "require the input to be encoded as spike trains" (paper §2.1).
-//! This module provides every coding scheme the suite knows, unified
-//! behind the [`SpikeEncoder`] trait, plus the [`Encoding`] value type the
-//! workload sweeps thread through their configurations:
+//! This module provides every coding scheme the suite knows as an encoder
+//! struct, plus the [`Encoding`] value type that selects one: the workload
+//! sweeps thread it through their configurations and call
+//! [`Encoding::encode`]:
 //!
 //! * [`PoissonEncoder`] — stochastic Bernoulli/Poisson **rate coding**: a
 //!   pixel of intensity `p ∈ [0, 1]` spikes with probability
@@ -62,27 +63,6 @@ pub enum Readout {
     FirstSpike,
 }
 
-/// A scheme for turning analog intensities into a spike raster.
-///
-/// Implementations must be **deterministic per `seed`**: the same
-/// `(intensities, steps, seed)` triple always yields the same raster,
-/// which is what lets batched sweeps reproduce serial encode-then-run
-/// loops exactly. Deterministic encoders simply ignore the seed. A silent
-/// stimulus (all intensities `<= 0`) must produce a silent raster.
-pub trait SpikeEncoder {
-    /// Encodes intensities (`[0, 1]`, clamped) into a raster of `steps`
-    /// timesteps, using `seed` for any stochasticity.
-    fn encode_seeded(&self, intensities: &[f32], steps: usize, seed: u64) -> SpikeRaster;
-
-    /// The readout rule that matches this code on the output side.
-    fn readout(&self) -> Readout {
-        Readout::Rate
-    }
-
-    /// Human-readable scheme name.
-    fn name(&self) -> &'static str;
-}
-
 /// Stochastic rate encoder: intensity `p` spikes with probability
 /// `p × max_rate` per timestep, independently across steps and neurons.
 #[derive(Debug)]
@@ -132,19 +112,6 @@ impl PoissonEncoder {
     }
 }
 
-impl SpikeEncoder for PoissonEncoder {
-    /// Encodes with a fresh RNG seeded from `seed` (the encoder's own
-    /// construction seed is not consumed), so trait-level encoding is a
-    /// pure function of `(intensities, steps, seed)`.
-    fn encode_seeded(&self, intensities: &[f32], steps: usize, seed: u64) -> SpikeRaster {
-        PoissonEncoder::new(self.max_rate, seed).encode(intensities, steps)
-    }
-
-    fn name(&self) -> &'static str {
-        "poisson-rate"
-    }
-}
-
 /// Deterministic rate encoder: intensity `p` produces evenly spaced spikes
 /// with mean rate `p × max_rate` using per-neuron phase accumulators.
 #[derive(Debug, Clone)]
@@ -183,16 +150,6 @@ impl RegularEncoder {
             raster.push(v);
         }
         raster
-    }
-}
-
-impl SpikeEncoder for RegularEncoder {
-    fn encode_seeded(&self, intensities: &[f32], steps: usize, _seed: u64) -> SpikeRaster {
-        self.encode(intensities, steps)
-    }
-
-    fn name(&self) -> &'static str {
-        "regular-rate"
     }
 }
 
@@ -249,20 +206,6 @@ impl TtfsEncoder {
     }
 }
 
-impl SpikeEncoder for TtfsEncoder {
-    fn encode_seeded(&self, intensities: &[f32], steps: usize, _seed: u64) -> SpikeRaster {
-        self.encode(intensities, steps)
-    }
-
-    fn readout(&self) -> Readout {
-        Readout::FirstSpike
-    }
-
-    fn name(&self) -> &'static str {
-        "ttfs"
-    }
-}
-
 /// Burst encoder: each input emits a burst of `round(p · max_burst)`
 /// spikes starting at step `0`, spaced `gap` timesteps apart (and
 /// truncated by the presentation window) — intensity is carried by burst
@@ -316,16 +259,6 @@ impl BurstEncoder {
     }
 }
 
-impl SpikeEncoder for BurstEncoder {
-    fn encode_seeded(&self, intensities: &[f32], steps: usize, _seed: u64) -> SpikeRaster {
-        self.encode(intensities, steps)
-    }
-
-    fn name(&self) -> &'static str {
-        "burst"
-    }
-}
-
 /// Value-level selection of a coding scheme — the form workload
 /// configurations carry (it is `Copy`, hashable and threadable through
 /// parallel sweeps, unlike a boxed encoder).
@@ -353,7 +286,10 @@ pub enum Encoding {
 impl Encoding {
     /// Encodes a stimulus under this scheme: rate variants run at
     /// `peak_rate`, temporal variants ignore it. Deterministic per
-    /// `(stimulus, steps, seed)`.
+    /// `(stimulus, steps, seed)`: only [`Encoding::Rate`] draws random
+    /// numbers, from a fresh RNG seeded with `seed`, and the other codes
+    /// ignore the seed. A silent stimulus (all intensities `<= 0`) yields
+    /// a silent raster.
     ///
     /// # Panics
     ///
@@ -368,12 +304,10 @@ impl Encoding {
     ) -> SpikeRaster {
         match *self {
             Encoding::Rate => PoissonEncoder::new(peak_rate, seed).encode(intensities, steps),
-            Encoding::RegularRate => {
-                RegularEncoder::new(peak_rate).encode_seeded(intensities, steps, seed)
-            }
-            Encoding::Ttfs => TtfsEncoder::new().encode_seeded(intensities, steps, seed),
+            Encoding::RegularRate => RegularEncoder::new(peak_rate).encode(intensities, steps),
+            Encoding::Ttfs => TtfsEncoder::new().encode(intensities, steps),
             Encoding::Burst { max_burst, gap } => {
-                BurstEncoder::new(max_burst, gap).encode_seeded(intensities, steps, seed)
+                BurstEncoder::new(max_burst, gap).encode(intensities, steps)
             }
         }
     }
@@ -467,16 +401,6 @@ mod tests {
         let _ = PoissonEncoder::new(1.5, 0);
     }
 
-    #[test]
-    fn trait_poisson_is_pure_in_seed() {
-        let enc = PoissonEncoder::new(0.8, 999);
-        let a = enc.encode_seeded(&[0.4; 24], 30, 5);
-        let b = enc.encode_seeded(&[0.4; 24], 30, 5);
-        assert_eq!(a, b, "trait encoding must not consume encoder state");
-        // And it matches an encoder constructed directly from the seed.
-        assert_eq!(a, PoissonEncoder::new(0.8, 5).encode(&[0.4; 24], 30));
-    }
-
     fn first_spike(raster: &SpikeRaster, i: usize) -> Option<usize> {
         raster.iter().position(|v| v.get(i))
     }
@@ -561,6 +485,11 @@ mod tests {
             assert_eq!(a.len(), 16);
             assert_eq!(a.neurons(), 3);
         }
+        // Rate coding draws from a fresh RNG seeded per call.
+        assert_eq!(
+            Encoding::Rate.encode(0.8, &[0.4; 24], 30, 5),
+            PoissonEncoder::new(0.8, 5).encode(&[0.4; 24], 30)
+        );
         assert_eq!(Encoding::Ttfs.readout(), Readout::FirstSpike);
         assert_eq!(Encoding::Rate.readout(), Readout::Rate);
         assert_eq!(

@@ -3,12 +3,12 @@
 //! RESPARC (DAC 2017) accelerates *deep spiking neural networks*; this
 //! crate is the complete algorithm-level substrate the architecture runs:
 //!
-//! * [`neuron`] — Integrate-and-Fire (and leaky) neuron dynamics,
+//! * [`neuron`] — the Integrate-and-Fire neuron with subtractive reset,
 //! * [`spike`] — bit-packed spike vectors/rasters and the zero-packet
 //!   statistics behind the paper's event-driven optimisation,
-//! * [`encoding`] — spike coding schemes behind the [`encoding::SpikeEncoder`]
-//!   trait: Poisson/regular rate codes plus temporal TTFS and burst codes,
-//!   with matching [`encoding::Readout`] rules,
+//! * [`encoding`] — spike coding schemes selected by [`encoding::Encoding`]:
+//!   Poisson/regular rate codes plus temporal TTFS and burst codes, with
+//!   matching [`encoding::Readout`] rules,
 //! * [`topology`] — MLP/CNN layer structures with a single synapse
 //!   enumeration shared by simulator and hardware mapper,
 //! * [`connectivity`] — per-layer sparse connectivity matrices,
@@ -71,12 +71,10 @@ pub use connectivity::ConnectivityMatrix;
 pub use convert::{
     normalize_for_snn, rebalance_thresholds_for_ttfs, NormalizationReport, TtfsRebalanceReport,
 };
-pub use encoding::{
-    BurstEncoder, Encoding, PoissonEncoder, Readout, RegularEncoder, SpikeEncoder, TtfsEncoder,
-};
+pub use encoding::{BurstEncoder, Encoding, PoissonEncoder, Readout, RegularEncoder, TtfsEncoder};
 pub use kernel::{CompiledLayer, CompiledNetwork};
 pub use network::{Classification, Layer, Network, SnnRunner};
-pub use neuron::{Membrane, NeuronConfig, NeuronPool, ResetMode};
+pub use neuron::Membrane;
 pub use quantize::{quantize_network, Precision};
 pub use spike::{SpikeRaster, SpikeVector};
 pub use stats::{ActivityProfile, BoundaryStats};
@@ -91,11 +89,11 @@ pub mod prelude {
         normalize_for_snn, rebalance_thresholds_for_ttfs, NormalizationReport, TtfsRebalanceReport,
     };
     pub use crate::encoding::{
-        BurstEncoder, Encoding, PoissonEncoder, Readout, RegularEncoder, SpikeEncoder, TtfsEncoder,
+        BurstEncoder, Encoding, PoissonEncoder, Readout, RegularEncoder, TtfsEncoder,
     };
     pub use crate::kernel::{CompiledLayer, CompiledNetwork};
     pub use crate::network::{Classification, Layer, Network, SnnRunner};
-    pub use crate::neuron::{Membrane, NeuronConfig, NeuronPool, ResetMode};
+    pub use crate::neuron::Membrane;
     pub use crate::quantize::{quantize_network, Precision};
     pub use crate::spike::{SpikeRaster, SpikeVector};
     pub use crate::stats::{ActivityProfile, BoundaryStats};

@@ -50,7 +50,7 @@ use rayon::prelude::*;
 
 use crate::encoding::Readout;
 use crate::kernel::CompiledNetwork;
-use crate::neuron::{Membrane, NeuronConfig};
+use crate::neuron::Membrane;
 use crate::spike::{AsSpikeView, SpikeRaster, SpikeVector};
 use crate::topology::{LayerSpec, Topology};
 use crate::trace::SpikeTrace;
@@ -120,8 +120,8 @@ impl Layer {
     }
 }
 
-/// The check [`NeuronConfig::integrate_and_fire`] makes, made where a
-/// threshold enters a [`Layer`] rather than on a runner's first step.
+/// Checks a threshold where it enters a [`Layer`], so every threshold a
+/// runner hands to [`Membrane::step`] has already passed it.
 fn assert_valid_threshold(threshold: f32) {
     assert!(
         threshold > 0.0 && threshold.is_finite(),
@@ -464,12 +464,11 @@ impl SnnRunner {
     /// raster step ([`SpikeView`](crate::spike::SpikeView)).
     ///
     /// Skipping a silent layer whose membranes all sit below threshold is
-    /// exact because the runner's neurons are pure integrate-and-fire
-    /// (leak 1, no refractory period, subtractive reset): a zero current
-    /// leaves every potential as it is, so only a neuron whose post-reset
-    /// residue is still at or above threshold could fire, and only a
-    /// neuron that just fired can hold one. Outcomes, spikes and
-    /// synaptic-event counts equal those of the full walk in
+    /// exact because a [`Membrane`] has no leak and no refractory period:
+    /// a zero current leaves every potential as it is, so only a neuron
+    /// whose post-reset residue is still at or above threshold could
+    /// fire, and only a neuron that just fired can hold one. Outcomes,
+    /// spikes and synaptic-event counts equal those of the full walk in
     /// [`reference::RefSnnRunner`].
     ///
     /// # Panics
@@ -496,14 +495,13 @@ impl SnnRunner {
             currents.fill(0.0);
             self.synaptic_events[li] += layer.accumulate_spikes(in_spikes, currents);
             let threshold = layer.threshold();
-            let cfg = NeuronConfig::integrate_and_fire(threshold);
             let (mut fired, mut armed) = (0u64, false);
             for (o, (m, &current)) in self.membranes[li]
                 .iter_mut()
                 .zip(currents.iter())
                 .enumerate()
             {
-                if m.step(current, &cfg) {
+                if m.step(current, threshold) {
                     out.set(o, true);
                     fired += 1;
                     armed |= m.potential() >= threshold;
@@ -531,85 +529,45 @@ impl SnnRunner {
         self.outcome()
     }
 
-    /// Runs a raster while recording every layer's spikes, for activity
-    /// profiling. Returns the outcome and one raster per layer.
-    pub fn run_recording(&mut self, input: &SpikeRaster) -> (Classification, Vec<SpikeRaster>) {
-        let mut rasters: Vec<SpikeRaster> = self
-            .kernels
-            .layers()
-            .iter()
-            .map(|l| SpikeRaster::new(l.outputs()))
-            .collect();
-        for step in input.iter() {
-            self.step(step);
-            for (li, r) in rasters.iter_mut().enumerate() {
-                r.push_view(self.spikes[li].view());
-            }
-        }
-        (self.outcome(), rasters)
-    }
-
     /// Runs a raster while capturing the full [`SpikeTrace`] — the input
     /// raster plus every layer's output raster on a shared timestep axis,
     /// the workload record the trace-driven architectural simulator
-    /// replays. Recording costs one word copy of each layer's spike
-    /// vector into the raster arena per step on top of [`Self::run`].
+    /// replays. Recording costs one word copy of each boundary's spike
+    /// vector into its raster arena per step on top of [`Self::run`].
     pub fn run_traced(&mut self, input: &SpikeRaster) -> (Classification, SpikeTrace) {
-        let (outcome, layer_rasters) = self.run_recording(input);
-        let mut boundaries = Vec::with_capacity(layer_rasters.len() + 1);
-        boundaries.push(input.clone());
-        boundaries.extend(layer_rasters);
-        (outcome, SpikeTrace::new(boundaries))
+        self.capture(input, false)
     }
 
-    /// Runs a raster, stopping at the end of the first timestep in which
-    /// any output neuron spikes — the temporal-coding early exit: under
-    /// TTFS the earliest output spike *is* the answer, so the rest of the
-    /// presentation only burns energy. The outcome covers exactly the
-    /// steps consumed ([`Classification::steps`] tells how many); decode
-    /// it with [`Readout::FirstSpike`].
-    pub fn run_early_exit(&mut self, input: &SpikeRaster) -> Classification {
-        for step in input.iter() {
-            let fired = {
-                let out = self.step(step);
-                out.iter_ones().next().is_some()
-            };
-            if fired {
-                break;
-            }
-        }
-        self.outcome()
-    }
-
-    /// Early-exit variant of [`Self::run_traced`]: stops after the first
-    /// timestep with an output spike and returns the outcome plus the
-    /// *truncated* [`SpikeTrace`] — identical to the full trace cut at
-    /// [`Classification::steps`], so replaying it through the event
-    /// simulator prices exactly the steps the fabric really ran.
+    /// Early-exit variant of [`Self::run_traced`]: stops at the end of the
+    /// first timestep in which any output neuron spikes — the
+    /// temporal-coding early exit: under TTFS the earliest output spike
+    /// *is* the answer, so the rest of the presentation only burns energy.
+    /// The outcome covers exactly the steps consumed
+    /// ([`Classification::steps`] tells how many; decode it with
+    /// [`Readout::FirstSpike`]), and the trace is the full trace cut at
+    /// that step, so replaying it through the event simulator prices
+    /// exactly the steps the fabric really ran.
     pub fn run_traced_early_exit(&mut self, input: &SpikeRaster) -> (Classification, SpikeTrace) {
-        let mut in_raster = SpikeRaster::new(self.kernels.input_count());
-        let mut rasters: Vec<SpikeRaster> = self
-            .kernels
-            .layers()
-            .iter()
-            .map(|l| SpikeRaster::new(l.outputs()))
-            .collect();
+        self.capture(input, true)
+    }
+
+    /// The one trace-capture loop: steps through `input`, appending the
+    /// input step and every layer's spikes to their boundary rasters, and
+    /// with `early_exit` stops after the first step with an output spike.
+    fn capture(&mut self, input: &SpikeRaster, early_exit: bool) -> (Classification, SpikeTrace) {
+        let mut boundaries = Vec::with_capacity(self.spikes.len() + 1);
+        boundaries.push(SpikeRaster::new(input.neurons()));
+        boundaries.extend(self.spikes.iter().map(|s| SpikeRaster::new(s.len())));
         for step in input.iter() {
-            let fired = {
-                let out = self.step(step);
-                out.iter_ones().next().is_some()
-            };
-            in_raster.push_view(step);
-            for (li, r) in rasters.iter_mut().enumerate() {
-                r.push_view(self.spikes[li].view());
+            let fired = !self.step(step).is_silent();
+            boundaries[0].push_view(step);
+            for (raster, spikes) in boundaries[1..].iter_mut().zip(&self.spikes) {
+                raster.push_view(spikes.view());
             }
-            if fired {
+            if early_exit && fired {
                 break;
             }
         }
-        let mut boundaries = Vec::with_capacity(rasters.len() + 1);
-        boundaries.push(in_raster);
-        boundaries.extend(rasters);
         (self.outcome(), SpikeTrace::new(boundaries))
     }
 
@@ -730,7 +688,7 @@ pub mod reference {
     //!   `accuracy_sweep` criterion groups in `resparc-bench` measure the
     //!   compiled speedup against this path.
 
-    use super::{argmax, first_spike_options, Classification, Membrane, Network, NeuronConfig};
+    use super::{argmax, first_spike_options, Classification, Membrane, Network};
     use crate::spike::{AsSpikeView, SpikeRaster, SpikeVector};
     use crate::topology::LayerSpec;
 
@@ -888,11 +846,10 @@ pub mod reference {
                         }
                     }
                 }
-                let cfg = NeuronConfig::integrate_and_fire(layer.threshold());
                 let out = &mut self.spikes[li];
                 out.clear();
                 for (o, m) in self.membranes[li].iter_mut().enumerate() {
-                    if m.step(currents[o], &cfg) {
+                    if m.step(currents[o], layer.threshold()) {
                         out.set(o, true);
                         self.layer_spikes[li] += 1;
                     }
@@ -1099,8 +1056,6 @@ mod tests {
             early.decode(Readout::FirstSpike),
             full.decode(Readout::FirstSpike)
         );
-        // The non-traced variant sees the identical outcome.
-        assert_eq!(net.spiking().run_early_exit(&raster), early);
     }
 
     #[test]
@@ -1126,19 +1081,6 @@ mod tests {
         // Deterministic per seed.
         let net2 = Network::random(Topology::mlp(10, &[7, 3]), 1, 1.0);
         assert_eq!(net, net2);
-    }
-
-    #[test]
-    fn run_recording_returns_layer_rasters() {
-        let net = tiny_net();
-        let enc = RegularEncoder::new(1.0);
-        let raster = enc.encode(&[1.0, 0.0], 5);
-        let mut runner = net.spiking();
-        let (_, rasters) = runner.run_recording(&raster);
-        assert_eq!(rasters.len(), 2);
-        assert_eq!(rasters[0].len(), 5);
-        assert_eq!(rasters[0].neurons(), 2);
-        assert!(rasters[1].total_spikes() > 0);
     }
 
     #[test]
@@ -1227,16 +1169,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "threshold must be positive and finite, got inf")]
-    fn layer_infinite_threshold_panics() {
-        let _ = Layer::new(
-            LayerSpec::Dense {
-                inputs: 2,
-                outputs: 2,
-            },
-            vec![1.0; 4],
-            f32::INFINITY,
-        );
+    fn layer_rejects_invalid_thresholds() {
+        for threshold in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let panic = std::panic::catch_unwind(|| {
+                Layer::new(
+                    LayerSpec::Dense {
+                        inputs: 2,
+                        outputs: 2,
+                    },
+                    vec![1.0; 4],
+                    threshold,
+                )
+            })
+            .expect_err("an invalid threshold must panic");
+            assert_eq!(
+                panic.downcast_ref::<String>().expect("formatted message"),
+                &format!("threshold must be positive and finite, got {threshold}")
+            );
+        }
     }
 
     #[test]

@@ -1,107 +1,27 @@
-//! Spiking neuron models.
+//! The spiking neuron.
 //!
 //! RESPARC interfaces its crossbar columns with Integrate-and-Fire (IF)
 //! neurons (paper §2.1): the column current accumulates onto a membrane
-//! potential and the neuron emits a spike (and resets) when the potential
-//! crosses a threshold. A leaky variant (LIF) is provided for completeness —
-//! the paper notes "any spiking neuron can be interfaced with the MCA".
+//! potential and the neuron emits a spike when the potential reaches a
+//! threshold. The reset subtracts the threshold and keeps the residue,
+//! the reset of rate-faithful ANN→SNN conversion (Diehl et al. \[4\]).
+//! There is no leak and no refractory period, so a zero input leaves the
+//! potential exactly where it is.
 //!
 //! # Examples
 //!
 //! ```
-//! use resparc_neuro::neuron::{Membrane, NeuronConfig};
+//! use resparc_neuro::neuron::Membrane;
 //!
-//! let cfg = NeuronConfig::integrate_and_fire(1.0);
 //! let mut m = Membrane::new();
-//! assert!(!m.step(0.6, &cfg)); // 0.6 < threshold
-//! assert!(m.step(0.6, &cfg));  // 1.2 ≥ threshold → spike
+//! assert!(!m.step(0.6, 1.0)); // 0.6 < threshold
+//! assert!(m.step(0.6, 1.0));  // 1.2 ≥ threshold → spike
 //! ```
 
-/// What happens to the membrane potential when a neuron fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResetMode {
-    /// Reset the potential to zero (classic IF reset).
-    #[default]
-    ToZero,
-    /// Subtract the threshold, preserving the residue. This is the reset
-    /// used for rate-faithful ANN→SNN conversion (Diehl et al. \[4\]).
-    Subtract,
-}
-
-/// Parameters of a spiking neuron.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NeuronConfig {
-    /// Firing threshold.
-    pub threshold: f32,
-    /// Reset behaviour on firing.
-    pub reset: ResetMode,
-    /// Multiplicative membrane leak per timestep (`1.0` = no leak / pure
-    /// IF; `0.95` decays 5 % per step).
-    pub leak: f32,
-    /// Refractory period in timesteps after a spike during which input is
-    /// ignored.
-    pub refractory: u32,
-}
-
-impl NeuronConfig {
-    /// A pure Integrate-and-Fire neuron with the given threshold
-    /// (subtractive reset, no leak, no refractory period).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not strictly positive and finite.
-    pub fn integrate_and_fire(threshold: f32) -> Self {
-        assert!(
-            threshold > 0.0 && threshold.is_finite(),
-            "threshold must be positive and finite, got {threshold}"
-        );
-        Self {
-            threshold,
-            reset: ResetMode::Subtract,
-            leak: 1.0,
-            refractory: 0,
-        }
-    }
-
-    /// A leaky Integrate-and-Fire neuron.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not positive or `leak` is outside `(0, 1]`.
-    pub fn leaky_integrate_and_fire(threshold: f32, leak: f32) -> Self {
-        assert!(
-            leak > 0.0 && leak <= 1.0,
-            "leak must be in (0, 1], got {leak}"
-        );
-        let mut cfg = Self::integrate_and_fire(threshold);
-        cfg.leak = leak;
-        cfg
-    }
-
-    /// Returns a copy with the given reset mode.
-    pub fn with_reset(mut self, reset: ResetMode) -> Self {
-        self.reset = reset;
-        self
-    }
-
-    /// Returns a copy with the given refractory period.
-    pub fn with_refractory(mut self, steps: u32) -> Self {
-        self.refractory = steps;
-        self
-    }
-}
-
-impl Default for NeuronConfig {
-    fn default() -> Self {
-        Self::integrate_and_fire(1.0)
-    }
-}
-
-/// The state of one spiking neuron.
+/// The state of one Integrate-and-Fire neuron.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Membrane {
     potential: f32,
-    refractory_left: u32,
 }
 
 impl Membrane {
@@ -115,20 +35,16 @@ impl Membrane {
         self.potential
     }
 
-    /// Advances one timestep with the given input current; returns `true`
-    /// if the neuron fires.
-    pub fn step(&mut self, input: f32, cfg: &NeuronConfig) -> bool {
-        if self.refractory_left > 0 {
-            self.refractory_left -= 1;
-            return false;
-        }
-        self.potential = self.potential * cfg.leak + input;
-        if self.potential >= cfg.threshold {
-            match cfg.reset {
-                ResetMode::ToZero => self.potential = 0.0,
-                ResetMode::Subtract => self.potential -= cfg.threshold,
-            }
-            self.refractory_left = cfg.refractory;
+    /// Advances one timestep: adds `input` to the potential and, if the
+    /// potential reaches `threshold`, subtracts the threshold and returns
+    /// `true` (the neuron fires).
+    ///
+    /// The threshold is not checked here; thresholds are checked where
+    /// they enter a [`Layer`](crate::network::Layer).
+    pub fn step(&mut self, input: f32, threshold: f32) -> bool {
+        self.potential += input;
+        if self.potential >= threshold {
+            self.potential -= threshold;
             true
         } else {
             false
@@ -141,113 +57,34 @@ impl Membrane {
     }
 }
 
-/// A bank of identically-configured neurons stepped together, as the
-/// neurons attached to one crossbar's columns are.
-#[derive(Debug, Clone)]
-pub struct NeuronPool {
-    config: NeuronConfig,
-    membranes: Vec<Membrane>,
-}
-
-impl NeuronPool {
-    /// Creates `n` neurons sharing `config`.
-    pub fn new(n: usize, config: NeuronConfig) -> Self {
-        Self {
-            config,
-            membranes: vec![Membrane::new(); n],
-        }
-    }
-
-    /// Number of neurons in the pool.
-    pub fn len(&self) -> usize {
-        self.membranes.len()
-    }
-
-    /// Returns `true` if the pool has no neurons.
-    pub fn is_empty(&self) -> bool {
-        self.membranes.is_empty()
-    }
-
-    /// The shared neuron configuration.
-    pub fn config(&self) -> &NeuronConfig {
-        &self.config
-    }
-
-    /// Membrane potentials, one per neuron.
-    pub fn potentials(&self) -> impl Iterator<Item = f32> + '_ {
-        self.membranes.iter().map(|m| m.potential)
-    }
-
-    /// Steps every neuron with its input current; writes spike flags into
-    /// `spikes_out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` or `spikes_out` length differs from the pool size.
-    pub fn step(&mut self, inputs: &[f32], spikes_out: &mut [bool]) {
-        assert_eq!(inputs.len(), self.membranes.len(), "input length mismatch");
-        assert_eq!(
-            spikes_out.len(),
-            self.membranes.len(),
-            "output length mismatch"
-        );
-        for ((m, &i), s) in self
-            .membranes
-            .iter_mut()
-            .zip(inputs)
-            .zip(spikes_out.iter_mut())
-        {
-            *s = m.step(i, &self.config);
-        }
-    }
-
-    /// Resets every membrane to rest.
-    pub fn reset(&mut self) {
-        for m in &mut self.membranes {
-            m.reset();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn if_neuron_fires_at_threshold() {
-        let cfg = NeuronConfig::integrate_and_fire(1.0);
         let mut m = Membrane::new();
-        assert!(!m.step(0.5, &cfg));
-        assert!(m.step(0.5, &cfg)); // exactly at threshold fires
+        assert!(!m.step(0.5, 1.0));
+        assert!(m.step(0.5, 1.0)); // exactly at threshold fires
     }
 
     #[test]
     fn subtract_reset_preserves_residue() {
-        let cfg = NeuronConfig::integrate_and_fire(1.0);
         let mut m = Membrane::new();
-        assert!(m.step(1.3, &cfg));
+        assert!(m.step(1.3, 1.0));
         assert!((m.potential() - 0.3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_reset_discards_residue() {
-        let cfg = NeuronConfig::integrate_and_fire(1.0).with_reset(ResetMode::ToZero);
-        let mut m = Membrane::new();
-        assert!(m.step(1.3, &cfg));
-        assert_eq!(m.potential(), 0.0);
     }
 
     #[test]
     fn subtract_reset_rate_tracks_input() {
         // With subtractive reset and constant drive I < threshold, the
         // long-run firing rate approaches I / threshold.
-        let cfg = NeuronConfig::integrate_and_fire(1.0);
         let mut m = Membrane::new();
         let drive = 0.24;
         let steps = 10_000;
         let mut fired = 0u32;
         for _ in 0..steps {
-            if m.step(drive, &cfg) {
+            if m.step(drive, 1.0) {
                 fired += 1;
             }
         }
@@ -256,58 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn leak_decays_potential() {
-        let cfg = NeuronConfig::leaky_integrate_and_fire(10.0, 0.5);
-        let mut m = Membrane::new();
-        m.step(1.0, &cfg);
-        m.step(0.0, &cfg);
-        assert!((m.potential() - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn refractory_blocks_input() {
-        let cfg = NeuronConfig::integrate_and_fire(1.0).with_refractory(2);
-        let mut m = Membrane::new();
-        assert!(m.step(1.5, &cfg));
-        // Two refractory steps: large inputs ignored.
-        assert!(!m.step(5.0, &cfg));
-        assert!(!m.step(5.0, &cfg));
-        assert!(m.step(1.0, &cfg));
-    }
-
-    #[test]
     fn negative_input_inhibits() {
-        let cfg = NeuronConfig::integrate_and_fire(1.0);
         let mut m = Membrane::new();
-        m.step(0.8, &cfg);
-        m.step(-0.5, &cfg);
+        m.step(0.8, 1.0);
+        m.step(-0.5, 1.0);
         assert!((m.potential() - 0.3).abs() < 1e-6);
-        assert!(!m.step(0.6, &cfg));
-    }
-
-    #[test]
-    fn pool_steps_all_neurons() {
-        let cfg = NeuronConfig::integrate_and_fire(1.0);
-        let mut pool = NeuronPool::new(3, cfg);
-        let mut spikes = [false; 3];
-        pool.step(&[1.0, 0.4, 2.0], &mut spikes);
-        assert_eq!(spikes, [true, false, true]);
-        assert_eq!(pool.len(), 3);
-        pool.reset();
-        assert!(pool.potentials().all(|p| p == 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "input length mismatch")]
-    fn pool_rejects_wrong_input_length() {
-        let mut pool = NeuronPool::new(2, NeuronConfig::default());
-        let mut spikes = [false; 2];
-        pool.step(&[1.0], &mut spikes);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be positive")]
-    fn invalid_threshold_panics() {
-        let _ = NeuronConfig::integrate_and_fire(0.0);
+        assert!(!m.step(0.6, 1.0));
     }
 }

@@ -104,8 +104,10 @@ impl ActivityProfile {
     }
 
     /// Measures a profile from rasters: `input` plus one raster per layer
-    /// (as produced by `SnnRunner::run_recording`). Zero-packet fractions
-    /// are measured at the given packet widths.
+    /// (the boundaries of a [`SnnRunner::run_traced`] trace). Zero-packet
+    /// fractions are measured at the given packet widths.
+    ///
+    /// [`SnnRunner::run_traced`]: crate::network::SnnRunner::run_traced
     pub fn measure(input: &SpikeRaster, layers: &[SpikeRaster], widths: &[u32]) -> Self {
         let mut boundaries = Vec::with_capacity(layers.len() + 1);
         for raster in std::iter::once(input).chain(layers.iter()) {

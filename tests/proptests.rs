@@ -174,7 +174,11 @@ proptest! {
     /// and CNN topologies with random weights. The rasters are rate, TTFS,
     /// TTFS with a silent tail, and all-silent, and the weights are scaled
     /// up to leave residues at or above threshold, so the runner's silent
-    /// layer-steps meet armed membranes.
+    /// layer-steps meet armed membranes. Both traced runs, which share one
+    /// capture loop, agree with the stepped runner: the full trace records
+    /// the raster and every output step, and the early exit is the full
+    /// trace cut one step past the first output spike (or the whole raster
+    /// when no output spikes).
     #[test]
     fn compiled_kernels_match_reference_on_random_topologies(
         sizes in proptest::collection::vec(1usize..9, 1..4),
@@ -213,13 +217,26 @@ proptest! {
             2 => TtfsEncoder::with_window(2).encode(&x, 8),
             _ => SpikeRaster::zeroed(inputs, 8),
         };
+        let (outcome, trace) = net.spiking().run_traced(&raster);
+        let output = trace.layer_output(trace.boundary_count() - 2);
         let mut compiled = net.spiking();
         let mut oracle = reference::RefSnnRunner::new(&net);
-        for step in raster.iter() {
+        let mut first_fire = None;
+        for (t, step) in raster.iter().enumerate() {
             let c = compiled.step(step).clone();
             prop_assert_eq!(&c, oracle.step(step));
+            prop_assert_eq!(output.step(t), c.view());
+            if first_fire.is_none() && !c.is_silent() {
+                first_fire = Some(t);
+            }
         }
         prop_assert_eq!(compiled.outcome(), oracle.outcome());
+        prop_assert_eq!(&outcome, &compiled.outcome());
+        prop_assert_eq!(trace.input(), &raster);
+
+        let (early, early_trace) = net.spiking().run_traced_early_exit(&raster);
+        prop_assert_eq!(early.steps as usize, first_fire.map_or(raster.len(), |t| t + 1));
+        prop_assert_eq!(early_trace, trace.truncated(early.steps as usize));
     }
 
     /// Replaying an all-silent trace charges zero Crossbar and Neuron
@@ -308,22 +325,21 @@ proptest! {
         }
     }
 
-    /// Rate encoders behind the `SpikeEncoder` trait: the raster's mean
-    /// rate tracks the stimulus intensity (stochastically for Poisson,
-    /// to within one spike per neuron for the phase-accumulator regular
-    /// encoder).
+    /// The rate codes of [`Encoding`]: the raster's mean rate tracks the
+    /// stimulus intensity (stochastically for Poisson, to within one spike
+    /// per neuron for the phase-accumulator regular encoder).
     #[test]
     fn rate_encoder_mean_rate_tracks_intensity(
         p in 0.05f32..0.95,
         seed in 0u64..1_000,
     ) {
         let steps = 800usize;
-        let poisson = PoissonEncoder::new(1.0, 0).encode_seeded(&[p; 32], steps, seed);
+        let poisson = Encoding::Rate.encode(1.0, &[p; 32], steps, seed);
         prop_assert!(
             (poisson.mean_rate() - p as f64).abs() < 0.06,
             "poisson rate {} vs intensity {p}", poisson.mean_rate()
         );
-        let regular = RegularEncoder::new(1.0).encode_seeded(&[p; 8], steps, seed);
+        let regular = Encoding::RegularRate.encode(1.0, &[p; 8], steps, seed);
         prop_assert!(
             (regular.mean_rate() - p as f64).abs() <= 1.0 / steps as f64 + 1e-9,
             "regular rate {} vs intensity {p}", regular.mean_rate()
@@ -339,8 +355,7 @@ proptest! {
         steps in 1usize..48,
         seed in proptest::prelude::any::<u64>(),
     ) {
-        let enc = TtfsEncoder::new();
-        let raster = enc.encode_seeded(&intensities, steps, seed);
+        let raster = Encoding::Ttfs.encode(1.0, &intensities, steps, seed);
         prop_assert_eq!(raster.len(), steps);
         let counts = raster.spike_counts();
         let first: Vec<Option<usize>> = (0..intensities.len())
@@ -364,7 +379,7 @@ proptest! {
         }
         prop_assert_eq!(
             &raster,
-            &enc.encode_seeded(&intensities, steps, seed.wrapping_add(1)),
+            &Encoding::Ttfs.encode(1.0, &intensities, steps, seed.wrapping_add(1)),
             "TTFS is deterministic regardless of seed"
         );
     }
@@ -380,7 +395,7 @@ proptest! {
         gap in 1usize..5,
     ) {
         let enc = BurstEncoder::new(max_burst, gap);
-        let raster = enc.encode_seeded(&intensities, steps, 0);
+        let raster = enc.encode(&intensities, steps);
         let counts = raster.spike_counts();
         let fit = steps.div_ceil(gap);
         for (i, &p) in intensities.iter().enumerate() {
@@ -1054,12 +1069,11 @@ proptest! {
     /// Spiking IF rate tracks drive/threshold for constant input.
     #[test]
     fn if_rate_tracks_drive(drive in 0.01f32..0.99) {
-        let cfg = NeuronConfig::integrate_and_fire(1.0);
         let mut m = Membrane::new();
         let steps = 4000u32;
         let mut fired = 0u32;
         for _ in 0..steps {
-            if m.step(drive, &cfg) {
+            if m.step(drive, 1.0) {
                 fired += 1;
             }
         }

@@ -399,7 +399,7 @@ impl Harness {
                     ));
                 }
             }
-            for part in &t.mapping.partitions {
+            for part in t.mapping.partitions.iter() {
                 for tile in &part.tiles {
                     if tile.rows as usize > class || tile.cols as usize > class {
                         return self.violated(&format!(

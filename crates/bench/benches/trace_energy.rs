@@ -319,8 +319,8 @@ fn bench_multi_tenant(c: &mut Criterion) {
 
 /// One whole `serving_sweep` per iteration: mapping the classes (their
 /// weight-magnitude pass is cached on the networks after the first
-/// iteration), tracing every (class, sample) presentation, and the
-/// event-clock loop (admission, backfill, one replay per (class,
+/// iteration), tracing every (class, sample) pair some arrival presents,
+/// and the event-clock loop (admission, backfill, one replay per (class,
 /// sample), the per-round interleave, gated idle billing).
 /// `poisson_light` is three 1-NC classes under a steady trace; CI gates
 /// it as a ratio against `multi_tenant/churn_replay`, so the whole sweep
@@ -328,10 +328,11 @@ fn bench_multi_tenant(c: &mut Criterion) {
 /// bounded multiple of the scheduling core. `bursty_heavy` is the mixed
 /// 2/1/4-NC workload under a 6-deep burst trace with the adaptive
 /// controller and preemption enabled: 18 arrivals serve up to 54
-/// tenant-rounds from 9 distinct replays. CI gates it as a ratio against
-/// `multi_tenant/shared_replay` (one three-tenant replay), so replaying
-/// every tenant-round again instead of reusing the (class, sample)
-/// replays trips the gate.
+/// tenant-rounds from 8 distinct replays (premium arrivals serve two
+/// rounds and never present the third sample). CI gates it as a ratio
+/// against `multi_tenant/shared_replay` (one three-tenant replay), so
+/// replaying every tenant-round again instead of reusing the (class,
+/// sample) replays trips the gate.
 fn bench_serving(c: &mut Criterion) {
     let pool_cfg = ResparcConfig::resparc_64();
     let sweep = SweepConfig::rate(STEPS, 0.7, 7);

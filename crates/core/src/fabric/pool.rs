@@ -987,6 +987,35 @@ mod tests {
     }
 
     #[test]
+    fn translated_and_moved_tenants_share_the_probes_tiles() {
+        use std::sync::Arc;
+        let probe = Mapper::new(ResparcConfig::resparc_64())
+            .map(&sized_topology(1))
+            .unwrap();
+        let shares = |pool: &FabricPool, id| {
+            Arc::ptr_eq(
+                &pool.tenant(id).unwrap().mapping.partitions,
+                &probe.partitions,
+            )
+        };
+        let mut pool = FabricPool::new(ResparcConfig::resparc_64());
+        let a = pool.admit_mapped(probe.clone(), "a").unwrap();
+        let b = pool.admit_mapped(probe.clone(), "b").unwrap();
+        assert_eq!(pool.tenant(b).unwrap().first_nc(), 1, "b sits off origin 0");
+        assert!(shares(&pool, a) && shares(&pool, b));
+        pool.evict(a);
+        assert_eq!(pool.defragment(), 1);
+        assert_eq!(pool.tenant(b).unwrap().first_nc(), 0, "b moved to NC 0");
+        assert!(shares(&pool, b));
+        pool.evict(b);
+        assert_eq!(
+            Arc::strong_count(&probe.partitions),
+            1,
+            "no copy left behind"
+        );
+    }
+
+    #[test]
     fn admits_tenants_on_disjoint_nc_runs() {
         let mut pool = FabricPool::new(ResparcConfig::resparc_64());
         let a = pool.admit(&small_net(1), "a").unwrap();

@@ -837,6 +837,42 @@ mod tests {
     }
 
     #[test]
+    fn a_requeued_tenant_readmits_on_the_probes_tiles() {
+        use crate::map::Mapper;
+        use std::sync::Arc;
+        let probe = Mapper::new(ResparcConfig::resparc_64())
+            .map_network(&net(1, &[576, 10]))
+            .unwrap();
+        let shares = |sched: &FabricScheduler| {
+            let tenants = sched.pool().tenants();
+            tenants.len() == 1 && Arc::ptr_eq(&tenants[0].mapping.partitions, &probe.partitions)
+        };
+        let mut sched = FabricScheduler::new(FabricPool::new(ResparcConfig::resparc_64()));
+        let a = sched.submit_mapped(probe.clone(), "a", 2, 1);
+        sched.begin_round();
+        assert!(shares(&sched));
+        let victim_nc = sched.pool().tenants()[0].first_nc();
+        assert_eq!(sched.fail_nc(victim_nc), Some(a));
+        sched.end_round();
+        sched.begin_round();
+        assert!(
+            sched.pool().tenants()[0].first_nc() > victim_nc,
+            "moved off the dead cell"
+        );
+        assert!(shares(&sched));
+        while !sched.is_idle() {
+            sched.end_round();
+            sched.begin_round();
+        }
+        assert!(!sched.completed()[0].aborted);
+        assert_eq!(
+            Arc::strong_count(&probe.partitions),
+            1,
+            "no copy left behind"
+        );
+    }
+
+    #[test]
     fn mid_replay_failure_requeues_and_recovers() {
         // Two 5-NC tenants serving 3 rounds each; NC 0 (inside a's run)
         // fails mid-round 0. a is evicted with its in-flight round

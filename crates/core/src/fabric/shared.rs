@@ -259,7 +259,7 @@ impl<'p> SharedEventSimulator<'p> {
                     && replay
                         .layers
                         .iter()
-                        .zip(partitions)
+                        .zip(partitions.iter())
                         .all(|(layer, part)| layer.tiles == part.tile_count()),
                 "{id}: replay does not match the tenant's mapping"
             );

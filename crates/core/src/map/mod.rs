@@ -169,7 +169,7 @@ impl Mapper {
 
         Ok(Mapping {
             config: self.config.clone(),
-            partitions,
+            partitions: partitions.into(),
             placement,
             mean_weight_mags: mean_weight_mags.to_vec(),
             technology_warning,
@@ -211,12 +211,18 @@ impl Mapper {
 
 /// A mapped network: partitions + placement + the statistics the
 /// simulator needs.
+///
+/// A clone shares its tiles: it copies the configuration, placement and
+/// weight magnitudes, and takes one more reference to the partitions. A
+/// tenant is thus its class's shared tiles plus its own placement, which
+/// is all a pool translation or defragmentation rewrites.
 #[derive(Debug, Clone)]
 pub struct Mapping {
     /// Machine configuration used.
     pub config: ResparcConfig,
-    /// Per-layer tile partitions.
-    pub partitions: Vec<LayerPartition>,
+    /// Per-layer tile partitions, built once by the mapper and shared by
+    /// every clone.
+    pub partitions: Arc<[LayerPartition]>,
     /// Tile placement over mPEs/NeuroCells.
     pub placement: Placement,
     /// Per-layer mean normalized |weight| (crossbar energy input).
@@ -339,6 +345,14 @@ mod tests {
         assert_eq!(r.layers[0].max_degree, 13);
         assert!(r.layers[0].mean_utilization > 0.9);
         assert!(m.technology_warning.is_none());
+    }
+
+    #[test]
+    fn a_clone_shares_its_tiles() {
+        let m = Mapper::new(ResparcConfig::resparc_64())
+            .map(&Topology::mlp(96, &[64, 10]))
+            .unwrap();
+        assert!(Arc::ptr_eq(&m.partitions, &m.clone().partitions));
     }
 
     #[test]

@@ -800,7 +800,7 @@ mod tests {
         let (mapping, trace) = traced_mlp(0.6, 12);
         let r = EventSimulator::new(&mapping).run(&trace);
         let pkt = mapping.config.packet_bits as usize;
-        for (ls, part) in r.layers.iter().zip(&mapping.partitions) {
+        for (ls, part) in r.layers.iter().zip(mapping.partitions.iter()) {
             let expected: u64 = part
                 .tile_rows
                 .iter()

@@ -613,7 +613,8 @@ struct InFlight {
 /// `arrivals` lists `(instant on the discipline's clock, class)` in
 /// order; `probes`, `classes` and `traces` are indexed by class, and
 /// arrival `i` of class `c` replays `traces[c][sample(i, r)]` on its
-/// `r`-th service round.
+/// `r`-th service round: `sample` returns a slot in the class's trace
+/// list, which holds only the traces some arrival presents.
 ///
 /// Each (class, sample) trace is replayed once, on the class's origin-0
 /// probe, the first time a round needs it. Every round then interleaves
@@ -858,13 +859,50 @@ pub(crate) fn serve(
     }
 }
 
+/// The slot of a (class, sample) pair that no arrival presents.
+const NOT_PRESENTED: usize = usize::MAX;
+
+/// The (class, sample) pairs that [`serving_sweep`]'s arrivals present,
+/// as a slot table: `slots[c][s]` is sample `s`'s position in class `c`'s
+/// traces (numbered 0, 1, … in sample order), or [`NOT_PRESENTED`].
+/// Arrival `i` belongs to class `i % service_rounds.len()` and presents
+/// sample `(i + r) % samples` on each service round `r`, the same `(i, r)`
+/// domain the serve loop visits. The walk stops once every pair is
+/// marked.
+fn presented_slots(requests: usize, service_rounds: &[usize], samples: usize) -> Vec<Vec<usize>> {
+    let classes = service_rounds.len();
+    let mut slots = vec![vec![NOT_PRESENTED; samples]; classes];
+    let mut unmarked = classes * samples;
+    for i in 0..requests {
+        if unmarked == 0 {
+            break;
+        }
+        let c = i % classes;
+        for r in 0..service_rounds[c].min(samples) {
+            let slot = &mut slots[c][(i + r) % samples];
+            if *slot == NOT_PRESENTED {
+                *slot = 0;
+                unmarked -= 1;
+            }
+        }
+    }
+    for row in &mut slots {
+        for (next, slot) in row.iter_mut().filter(|s| **s != NOT_PRESENTED).enumerate() {
+            *slot = next;
+        }
+    }
+    slots
+}
+
 /// Runs an open-loop arrival trace against a dynamically scheduled,
 /// optionally power-gated [`FabricPool`] and reports the service-level
 /// metrics; see the [module docs](self) for the loop. Arrival `i` is
 /// assigned class `i % classes.len()` (networks are paired index-wise
 /// with `classes`); its service round `r` presents sample
-/// `(i + r) % spec.samples`, encoded once per (class, sample) under
-/// `cfg`.
+/// `(i + r) % spec.samples`. Each (class, sample) pair that some arrival
+/// presents is encoded and traced once under `cfg`; a pair no arrival
+/// presents (a class serving fewer rounds than there are samples, when
+/// the class and sample counts share a factor) is never traced.
 ///
 /// # Errors
 ///
@@ -895,10 +933,14 @@ pub fn serving_sweep(
     );
     let probes = map_probes(nets, pool_config)?;
 
-    // --- Traces: every distinct (class, sample) presentation traced
-    // once, in parallel; service rounds wrap over the sample set.
+    // --- Traces: every (class, sample) pair some arrival presents,
+    // traced once, in parallel, in (class, sample) order; service rounds
+    // wrap over the sample set.
+    let rounds: Vec<usize> = classes.iter().map(|c| c.service_rounds).collect();
+    let slots = presented_slots(spec.requests, &rounds, spec.samples);
     let jobs: Vec<(usize, usize)> = (0..classes.len())
         .flat_map(|c| (0..spec.samples).map(move |j| (c, j)))
+        .filter(|&(c, j)| slots[c][j] != NOT_PRESENTED)
         .collect();
     let runs: Vec<SpikeTrace> = jobs
         .par_iter()
@@ -932,7 +974,11 @@ pub fn serving_sweep(
         classes,
         &traces,
         &arrivals,
-        |i, r| (i + r) % spec.samples,
+        |i, r| {
+            let slot = slots[i % classes.len()][(i + r) % spec.samples];
+            debug_assert_ne!(slot, NOT_PRESENTED, "arrival {i} round {r} has no trace");
+            slot
+        },
         Discipline::Serving(spec),
     );
 
@@ -1043,6 +1089,47 @@ mod tests {
 
     fn cfg() -> SweepConfig {
         SweepConfig::rate(6, 0.8, 5)
+    }
+
+    #[test]
+    fn presented_slots_number_exactly_the_presented_pairs() {
+        for classes in 1..=4usize {
+            // Every per-class round count in 1..=6.
+            for code in 0..6usize.pow(classes as u32) {
+                let rounds: Vec<usize> = (0..classes)
+                    .map(|c| code / 6usize.pow(c as u32) % 6 + 1)
+                    .collect();
+                for samples in 1..=5 {
+                    for requests in 1..=12 {
+                        let slots = presented_slots(requests, &rounds, samples);
+                        let mut presented = vec![vec![false; samples]; classes];
+                        for i in 0..requests {
+                            for r in 0..rounds[i % classes] {
+                                presented[i % classes][(i + r) % samples] = true;
+                            }
+                        }
+                        let case =
+                            format!("{requests} requests, rounds {rounds:?}, {samples} samples");
+                        for (row, want) in slots.iter().zip(&presented) {
+                            let has: Vec<bool> = row.iter().map(|&s| s != NOT_PRESENTED).collect();
+                            assert_eq!(&has, want, "{case}");
+                            let numbered: Vec<usize> = row
+                                .iter()
+                                .copied()
+                                .filter(|&s| s != NOT_PRESENTED)
+                                .collect();
+                            assert!(numbered.iter().copied().eq(0..numbered.len()), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        // The resbench mix: premium arrivals (i ≡ 0 mod 3) serve two
+        // rounds of three samples and never present sample 2.
+        let slots = presented_slots(72, &[2, 3, 4], 3);
+        assert_eq!(slots[0], [0, 1, NOT_PRESENTED]);
+        assert_eq!(slots[1], [0, 1, 2]);
+        assert_eq!(slots[2], [0, 1, 2]);
     }
 
     #[test]

@@ -297,7 +297,7 @@ proptest! {
             .unwrap();
         let report = EventSimulator::new(&mapping).run(&trace);
         let pkt = mapping.config.packet_bits as usize;
-        for (ls, part) in report.layers.iter().zip(&mapping.partitions) {
+        for (ls, part) in report.layers.iter().zip(mapping.partitions.iter()) {
             // One tally slot per tile, no more, no fewer.
             prop_assert_eq!(ls.per_tile_candidates.len(), part.tile_count());
             prop_assert_eq!(ls.per_tile_delivered.len(), part.tile_count());

@@ -7,8 +7,9 @@
 //! writes `results/figNN.txt`. Absolute joules and seconds come from our
 //! calibrated analytic models, not the authors' Synopsys flow — the
 //! reproduction targets the *shape* of each result (who wins, by what
-//! order, where the crossovers fall). EXPERIMENTS.md records
-//! paper-vs-measured for every figure.
+//! order, where the crossovers fall). The committed `results/*.txt`
+//! hold every figure as measured, and CI fails when a fresh
+//! `all_figures` run differs from them.
 //!
 //! Wall-clock performance of the simulators themselves is tracked by the
 //! criterion benches in `benches/simulator.rs` (`cargo bench -p
@@ -1164,7 +1165,8 @@ mod tests {
         // from 32->64 but "an increase in MCA size from 64 to 128 does
         // not result in a corresponding decrease" -- under-utilization
         // eats the benefit (our activity-gated device model flattens
-        // rather than upticks at 128; see EXPERIMENTS.md).
+        // rather than upticks at 128: in `results/fig12.txt` each CNN's
+        // 64 -> 128 step saves far less than its 32 -> 64 step).
         let b = resparc_suite::resparc_workloads::mnist_mlp();
         let e: Vec<f64> = [32usize, 64, 128]
             .iter()

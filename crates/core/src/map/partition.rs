@@ -16,17 +16,21 @@
 //! [`partition_spec`] picks the route by layer kind. Dense layers are
 //! grid-tiled directly from their shape, with no connectivity matrix, at
 //! a cost independent of their synapse count. Conv/pool layers are packed
-//! straight from their geometry: each output's sorted receptive field is
-//! streamed from [`LayerSpec::receptive_fields`] into the packer, chunk by
-//! chunk, so no connectivity matrix is built either. The general path,
-//! [`partition_layer`], runs the same packer over a [`ConnectivityMatrix`];
-//! it is the oracle both fast routes are tested against. Outputs are
-//! ordered by (first input, output id) with a counting sort, and packing
-//! costs O(1) work per synapse, except for a repeated field: with input
-//! sharing on and details off, an output whose field repeats the previous
-//! column's in a tile with a free column is added in O(1), since all its
-//! rows are already there. That covers every map of a full-table conv at
-//! one position, which the sort makes consecutive.
+//! straight from their geometry, so no connectivity matrix is built
+//! either: [`ReceptiveFields::for_each_run`] lists the outputs in
+//! (first input, output id) order as maximal runs of outputs that read
+//! identical inputs (every map of a full-table conv at one position), and
+//! the packer reads each run's fan-in chunk once. A column probes each
+//! entry of its chunk once through a flat input-id → row-slot table, and
+//! at the first row that does not fit it takes its rows back and goes to
+//! a fresh tile. With input sharing on and details off, a run's later
+//! columns add no row, so they are counted into the open tile's free
+//! columns: a run costs one row fill per tile it spans, not one probe
+//! per output. The
+//! general path, [`partition_layer`], runs the same packer over a
+//! [`ConnectivityMatrix`], whose outputs it orders with a counting sort
+//! and packs as runs of one; it is the oracle both fast routes are tested
+//! against.
 //!
 //! The fundamental invariant — checked here and property-tested — is that
 //! **every synapse of the layer lands in exactly one tile**.
@@ -34,7 +38,7 @@
 use std::ops::Range;
 
 use resparc_neuro::connectivity::ConnectivityMatrix;
-use resparc_neuro::topology::{LayerSpec, ReceptiveFields};
+use resparc_neuro::topology::{FieldRun, LayerSpec, ReceptiveFields};
 
 /// Aggregate description of one crossbar-sized tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,58 +228,65 @@ impl OpenTile {
         self.cols == 0
     }
 
-    /// Rows that would be occupied after adding `inputs`, under the given
-    /// sharing rule.
-    fn rows_after(&self, inputs: &[u32], sharing: bool) -> u32 {
-        let new = if sharing {
-            inputs
-                .iter()
-                .filter(|&&i| self.slot_of[i as usize] == NO_ROW)
-                .count()
-        } else {
-            inputs.len()
-        };
-        (self.row_inputs.len() + new) as u32
-    }
-
-    /// Adds one column holding `inputs`; `weight_ids` is read only when
-    /// details are recorded.
-    fn push_column(
+    /// Adds one column holding `inputs` if it fits an `n × n` tile,
+    /// probing each input once: with input sharing an input without a row
+    /// takes the next one, and without it every input takes its own. At
+    /// the first row that does not fit, the column takes back the rows it
+    /// added and the push fails. `column` holds the output, its fan-in
+    /// chunk and the weight ids when details are recorded.
+    fn try_push(
         &mut self,
-        output: u32,
-        chunk: u32,
+        n: usize,
         inputs: &[u32],
-        weight_ids: &[u32],
         sharing: bool,
-        record: bool,
-    ) {
-        let mut synapses = Vec::new();
-        for (j, &i) in inputs.iter().enumerate() {
-            let next = self.row_inputs.len() as u32;
-            let slot = if sharing {
-                let slot = &mut self.slot_of[i as usize];
-                if *slot == NO_ROW {
-                    *slot = next;
-                    self.row_inputs.push(i);
-                }
-                *slot
-            } else {
-                self.row_inputs.push(i);
-                next
-            };
-            if record {
-                synapses.push((slot, weight_ids[j]));
-            }
+        column: Option<(u32, u32, &[u32])>,
+    ) -> bool {
+        let mark = self.row_inputs.len();
+        if self.cols as usize == n || (!sharing && mark + inputs.len() > n) {
+            return false;
         }
-        self.synapses += inputs.len() as u32;
-        self.cols += 1;
-        if record {
+        if sharing {
+            for &i in inputs {
+                let slot = &mut self.slot_of[i as usize];
+                if *slot != NO_ROW {
+                    continue;
+                }
+                if self.row_inputs.len() == n {
+                    for &i in &self.row_inputs[mark..] {
+                        self.slot_of[i as usize] = NO_ROW;
+                    }
+                    self.row_inputs.truncate(mark);
+                    return false;
+                }
+                *slot = self.row_inputs.len() as u32;
+                self.row_inputs.push(i);
+            }
+        } else {
+            self.row_inputs.extend_from_slice(inputs);
+        }
+        if let Some((output, chunk, weight_ids)) = column {
+            let synapses = inputs
+                .iter()
+                .zip(weight_ids)
+                .enumerate()
+                .map(|(j, (&i, &w))| {
+                    let slot = if sharing {
+                        self.slot_of[i as usize]
+                    } else {
+                        (mark + j) as u32
+                    };
+                    (slot, w)
+                })
+                .collect();
             self.columns.push(TileColumnDetail {
                 output,
                 chunk,
                 synapses,
             });
         }
+        self.cols += 1;
+        self.synapses += inputs.len() as u32;
+        true
     }
 
     /// Closes the open tile and leaves `self` empty for the next one. The
@@ -304,6 +315,92 @@ impl OpenTile {
             columns: std::mem::take(&mut self.columns),
         });
         (tile, row_inputs, detail)
+    }
+}
+
+/// The packer's state for one layer: its options, the open tile and the
+/// tiles closed so far.
+struct Packer {
+    layer: usize,
+    n: usize,
+    sharing: bool,
+    record: bool,
+    open: OpenTile,
+    tiles: Vec<Tile>,
+    tile_rows: Vec<Vec<u32>>,
+    details: Vec<TileDetail>,
+}
+
+impl Packer {
+    /// Packs fan-in chunk `phase` of every output of `run` that has one.
+    ///
+    /// The first column probes the chunk's rows. With details, every
+    /// output then records its own column and weight ids. Without them
+    /// the run's outputs differ in nothing a tile keeps. With input
+    /// sharing, each later column adds no row, since the chunk's rows are
+    /// all in the open tile, so the rest fill its free columns by count;
+    /// when it is full, a fresh tile takes the chunk's rows and the count
+    /// goes on. A run then costs one row fill per tile it spans, however
+    /// many outputs it holds. Without sharing, every column takes private
+    /// rows.
+    fn pack_run(
+        &mut self,
+        run: &impl Run,
+        phase: usize,
+        field: &mut Vec<u32>,
+        weight_ids: &mut Vec<u32>,
+    ) {
+        let (n, fan_in) = (self.n, run.fan_in());
+        let start = phase * n;
+        if start >= fan_in {
+            return;
+        }
+        let range = start..(start + n).min(fan_in);
+        let inputs = run.inputs(range.clone(), field);
+        let phase = phase as u32;
+        if self.record {
+            run.for_each_column(range, weight_ids, |output, ids| {
+                self.push(phase, inputs, Some((output, ids)));
+            });
+            return;
+        }
+        self.push(phase, inputs, None);
+        let mut left = run.len() - 1;
+        if !self.sharing {
+            for _ in 0..left {
+                self.push(phase, inputs, None);
+            }
+            return;
+        }
+        while left > 0 {
+            if self.open.cols as usize == n {
+                self.push(phase, inputs, None);
+                left -= 1;
+            }
+            let take = (n - self.open.cols as usize).min(left);
+            self.open.cols += take as u32;
+            self.open.synapses += (take * inputs.len()) as u32;
+            left -= take;
+        }
+    }
+
+    /// Adds one column holding `inputs` to the open tile, or, when its
+    /// rows or one more column do not fit, closes the tile and adds the
+    /// column to a fresh one.
+    fn push(&mut self, phase: u32, inputs: &[u32], column: Option<(u32, &[u32])>) {
+        let column = column.map(|(output, ids)| (output, phase, ids));
+        if !self.open.try_push(self.n, inputs, self.sharing, column) {
+            self.close(phase);
+            let pushed = self.open.try_push(self.n, inputs, self.sharing, column);
+            debug_assert!(pushed, "a chunk of at most n inputs fits an empty tile");
+        }
+    }
+
+    fn close(&mut self, phase: u32) {
+        let (tile, rows, detail) = self.open.close(self.layer, phase, self.record);
+        self.tiles.push(tile);
+        self.tile_rows.push(rows);
+        self.details.extend(detail);
     }
 }
 
@@ -419,43 +516,42 @@ pub fn partition_layer(
     layer: usize,
     options: &PartitionOptions,
 ) -> LayerPartition {
-    pack(conn, layer, options)
+    pack(&SortedMatrix::new(conn), layer, options)
 }
 
 /// A source of the packer's receptive fields: the layer's geometry, or
 /// its connectivity matrix.
 trait Fields {
+    /// Consecutive outputs, in packing order, that read identical inputs.
+    type Run<'a>: Run
+    where
+        Self: 'a;
     fn inputs(&self) -> usize;
     fn outputs(&self) -> usize;
     fn synapse_count(&self) -> usize;
-    fn fan_in(&self, o: usize) -> usize;
-    /// The smallest input of output `o`'s field; 0 if it is empty.
-    fn first_input(&self, o: usize) -> usize;
-    /// Whether outputs `a` and `b` are known to read the same inputs. A
-    /// source that cannot tell cheaply answers `false`.
-    fn same_inputs(&self, _a: usize, _b: usize) -> bool {
-        false
-    }
-    /// Entries `range` of output `o`'s sorted field, and their weight ids
-    /// when `record` is set (otherwise the ids may be empty). A source
-    /// that has no stored fields writes them into `buf`.
-    fn chunk<'a>(
-        &'a self,
-        o: usize,
-        range: Range<usize>,
-        record: bool,
-        buf: &'a mut FieldBuf,
-    ) -> (&'a [u32], &'a [u32]);
+    fn max_fan_in(&self) -> usize;
+    /// Calls `f` with the runs of outputs in (first input, output id)
+    /// order. Outputs with empty fields come in runs of fan-in 0 or in
+    /// none.
+    fn for_each_run<'a>(&'a self, f: impl FnMut(&Self::Run<'a>));
 }
 
-/// Buffers one streamed field chunk is written into.
-#[derive(Default)]
-struct FieldBuf {
-    inputs: Vec<u32>,
-    weight_ids: Vec<u32>,
+/// Outputs that read identical inputs, packed as consecutive columns.
+trait Run {
+    fn len(&self) -> usize;
+    fn fan_in(&self) -> usize;
+    /// Entries `range` of the run's shared sorted field. A source that
+    /// has no stored fields writes them into `buf`.
+    fn inputs<'b>(&'b self, range: Range<usize>, buf: &'b mut Vec<u32>) -> &'b [u32];
+    /// Calls `f` with each output of the run, in order, and the weight
+    /// ids of entries `range` of its field. A source that has no stored
+    /// fields writes them into `buf`.
+    fn for_each_column(&self, range: Range<usize>, buf: &mut Vec<u32>, f: impl FnMut(u32, &[u32]));
 }
 
 impl Fields for ReceptiveFields {
+    type Run<'a> = FieldRun<'a>;
+
     fn inputs(&self) -> usize {
         ReceptiveFields::inputs(self)
     }
@@ -468,198 +564,185 @@ impl Fields for ReceptiveFields {
         ReceptiveFields::synapse_count(self)
     }
 
-    fn fan_in(&self, o: usize) -> usize {
-        ReceptiveFields::fan_in(self, o)
+    fn max_fan_in(&self) -> usize {
+        ReceptiveFields::max_fan_in(self)
     }
 
-    fn first_input(&self, o: usize) -> usize {
-        ReceptiveFields::first_input(self, o)
-    }
-
-    fn same_inputs(&self, a: usize, b: usize) -> bool {
-        ReceptiveFields::same_inputs(self, a, b)
-    }
-
-    fn chunk<'a>(
-        &'a self,
-        o: usize,
-        range: Range<usize>,
-        record: bool,
-        buf: &'a mut FieldBuf,
-    ) -> (&'a [u32], &'a [u32]) {
-        buf.inputs.clear();
-        buf.weight_ids.clear();
-        let ids = record.then_some(&mut buf.weight_ids);
-        self.extend_field(o, range, &mut buf.inputs, ids);
-        (&buf.inputs, &buf.weight_ids)
+    fn for_each_run<'a>(&'a self, mut f: impl FnMut(&FieldRun<'a>)) {
+        ReceptiveFields::for_each_run(self, |run| f(&run));
     }
 }
 
-impl Fields for ConnectivityMatrix {
+impl Run for FieldRun<'_> {
+    fn len(&self) -> usize {
+        self.output_count()
+    }
+
+    fn fan_in(&self) -> usize {
+        FieldRun::fan_in(self)
+    }
+
+    fn inputs<'b>(&'b self, range: Range<usize>, buf: &'b mut Vec<u32>) -> &'b [u32] {
+        buf.clear();
+        self.extend_inputs(range, buf);
+        buf
+    }
+
+    fn for_each_column(
+        &self,
+        range: Range<usize>,
+        buf: &mut Vec<u32>,
+        mut f: impl FnMut(u32, &[u32]),
+    ) {
+        for output in self.outputs() {
+            buf.clear();
+            output.extend_weight_ids(range.clone(), buf);
+            f(output.id() as u32, buf);
+        }
+    }
+}
+
+/// A connectivity matrix with its outputs in (first input, output id)
+/// order, by a counting sort over first inputs. The general path packs
+/// each output as a run of its own.
+struct SortedMatrix<'a> {
+    conn: &'a ConnectivityMatrix,
+    order: Vec<u32>,
+}
+
+impl<'a> SortedMatrix<'a> {
+    fn new(conn: &'a ConnectivityMatrix) -> Self {
+        let first_input = |o: usize| conn.inputs_of(o).first().map_or(0, |&i| i as usize);
+        let mut next = vec![0u32; conn.inputs().max(1)];
+        for o in 0..conn.outputs() {
+            next[first_input(o)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        let mut order = vec![0u32; conn.outputs()];
+        for o in 0..conn.outputs() {
+            let key = first_input(o);
+            order[next[key] as usize] = o as u32;
+            next[key] += 1;
+        }
+        Self { conn, order }
+    }
+}
+
+/// One output of a [`SortedMatrix`].
+struct MatrixRun<'a> {
+    conn: &'a ConnectivityMatrix,
+    output: usize,
+}
+
+impl Fields for SortedMatrix<'_> {
+    type Run<'a>
+        = MatrixRun<'a>
+    where
+        Self: 'a;
+
     fn inputs(&self) -> usize {
-        ConnectivityMatrix::inputs(self)
+        self.conn.inputs()
     }
 
     fn outputs(&self) -> usize {
-        ConnectivityMatrix::outputs(self)
+        self.conn.outputs()
     }
 
     fn synapse_count(&self) -> usize {
-        ConnectivityMatrix::synapse_count(self)
+        self.conn.synapse_count()
     }
 
-    fn fan_in(&self, o: usize) -> usize {
-        ConnectivityMatrix::fan_in(self, o)
+    fn max_fan_in(&self) -> usize {
+        self.conn.max_fan_in()
     }
 
-    fn first_input(&self, o: usize) -> usize {
-        self.inputs_of(o).first().map_or(0, |&i| i as usize)
+    fn for_each_run<'a>(&'a self, mut f: impl FnMut(&MatrixRun<'a>)) {
+        for &output in &self.order {
+            f(&MatrixRun {
+                conn: self.conn,
+                output: output as usize,
+            });
+        }
+    }
+}
+
+impl Run for MatrixRun<'_> {
+    fn len(&self) -> usize {
+        1
     }
 
-    fn chunk<'a>(
-        &'a self,
-        o: usize,
+    fn fan_in(&self) -> usize {
+        self.conn.fan_in(self.output)
+    }
+
+    fn inputs<'b>(&'b self, range: Range<usize>, _buf: &'b mut Vec<u32>) -> &'b [u32] {
+        &self.conn.inputs_of(self.output)[range]
+    }
+
+    fn for_each_column(
+        &self,
         range: Range<usize>,
-        _record: bool,
-        _buf: &'a mut FieldBuf,
-    ) -> (&'a [u32], &'a [u32]) {
-        (
-            &self.inputs_of(o)[range.clone()],
-            &self.weight_ids_of(o)[range],
-        )
+        _buf: &mut Vec<u32>,
+        mut f: impl FnMut(u32, &[u32]),
+    ) {
+        f(
+            self.output as u32,
+            &self.conn.weight_ids_of(self.output)[range],
+        );
     }
 }
 
-/// The outputs in (first input, output id) order, by a counting sort over
-/// first inputs. Packing in this order puts outputs whose receptive
-/// fields overlap into the same tile: it clusters the same spatial
-/// position across feature maps (identical or near-identical input sets),
-/// which is what makes input sharing effective for convolutions.
-fn output_order(fields: &impl Fields) -> Vec<u32> {
-    let keys: Vec<usize> = (0..fields.outputs())
-        .map(|o| fields.first_input(o))
-        .collect();
-    let mut next = vec![0u32; fields.inputs().max(1)];
-    for &key in &keys {
-        next[key] += 1;
-    }
-    let mut start = 0;
-    for slot in &mut next {
-        let count = *slot;
-        *slot = start;
-        start += count;
-    }
-    let mut order = vec![0u32; keys.len()];
-    for (o, &key) in keys.iter().enumerate() {
-        order[next[key] as usize] = o as u32;
-        next[key] += 1;
-    }
-    order
-}
-
-/// The one packer: sweeps fan-in chunks and packs each output's chunk
-/// into the open tile, closing it when the chunk's rows or one more
-/// column would not fit.
-///
-/// With input sharing on and details off, a chunk whose output reads the
-/// same inputs ([`Fields::same_inputs`]) as the last output pushed in this
-/// phase is added by count alone when the open tile is non-empty and has
-/// a free column: the previous column put every input of the chunk on a
-/// row, so the chunk adds no row and needs no probe. Without input
-/// sharing each column takes private rows, and with details each synapse
-/// records its slot, so both take the general step; a source that cannot
-/// tell repeats (the connectivity matrix) always does.
+/// The one packer: sweeps fan-in chunks and packs each run's chunk into
+/// the open tile (see [`Packer::pack_run`]), closing it when the chunk's
+/// rows or one more column would not fit. Packing in (first input,
+/// output id) order puts outputs whose receptive fields overlap into the
+/// same tile: it clusters the same spatial position across feature maps
+/// (identical or near-identical input sets), which is what makes input
+/// sharing effective for convolutions.
 fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> LayerPartition {
     let n = options.mca_size;
     assert!(n > 0, "MCA size must be non-zero");
-    let record = options.record_details;
     let inputs = fields.inputs();
     let outputs = fields.outputs();
+    // An output's multiplexing degree is its number of fan-in chunks, and
+    // at least 1.
+    let max_degree = if outputs == 0 {
+        0
+    } else {
+        fields.max_fan_in().div_ceil(n).max(1)
+    };
 
-    // Multiplexing degree per output.
-    let fan_ins: Vec<usize> = (0..outputs).map(|o| fields.fan_in(o)).collect();
-    let mut max_degree = 0u32;
-    let mut degree_sum = 0u64;
-    for &fan_in in &fan_ins {
-        let d = fan_in.div_ceil(n).max(1) as u32;
-        max_degree = max_degree.max(d);
-        degree_sum += d as u64;
-    }
-
-    let mut tiles = Vec::new();
-    let mut tile_rows: Vec<Vec<u32>> = Vec::new();
-    let mut details: Vec<TileDetail> = Vec::new();
-    let order = output_order(fields);
-
+    let mut packer = Packer {
+        layer,
+        n,
+        sharing: options.input_sharing,
+        record: options.record_details,
+        open: OpenTile::new(inputs),
+        tiles: Vec::new(),
+        tile_rows: Vec::new(),
+        details: Vec::new(),
+    };
+    let (mut field, mut weight_ids) = (Vec::new(), Vec::new());
     // Chunk-major sweep: phase k packs the k-th fan-in chunk of every
     // output that has one. Dense layers degenerate to grid tiling because
     // chunk k of every output covers the identical row window.
-    let mut open = OpenTile::new(inputs);
-    let mut buf = FieldBuf::default();
-    // Only with input sharing on and details off is a repeated field's
-    // column nothing but a column count and a synapse count.
-    let repeats = options.input_sharing && !record;
-    for k in 0..max_degree as usize {
-        // The last output pushed in this phase; its column is in the open
-        // tile whenever that tile is non-empty.
-        let mut prev = None;
-        for &o in &order {
-            let o = o as usize;
-            let fan_in = fan_ins[o];
-            let start = k * n;
-            if start >= fan_in {
-                continue;
-            }
-            let range = start..(start + n).min(fan_in);
-            if repeats
-                && !open.is_empty()
-                && open.cols < n as u32
-                && prev.is_some_and(|p| fields.same_inputs(p, o))
-            {
-                // Every input of the chunk already has a row in the open
-                // tile, so `rows_after` would find no new row and
-                // `push_column` would only count.
-                open.cols += 1;
-                open.synapses += range.len() as u32;
-                prev = Some(o);
-                continue;
-            }
-            let (chunk_inputs, chunk_wids) = fields.chunk(o, range, record, &mut buf);
-
-            let fits_rows = open.rows_after(chunk_inputs, options.input_sharing) <= n as u32;
-            let fits_cols = open.cols < n as u32;
-            if !(open.is_empty() || (fits_rows && fits_cols)) {
-                let (tile, rows, detail) = open.close(layer, k as u32, record);
-                tiles.push(tile);
-                tile_rows.push(rows);
-                if let Some(d) = detail {
-                    details.push(d);
-                }
-            }
-            open.push_column(
-                o as u32,
-                k as u32,
-                chunk_inputs,
-                chunk_wids,
-                options.input_sharing,
-                record,
-            );
-            prev = Some(o);
-            debug_assert!(
-                open.row_inputs.len() <= n,
-                "tile row overflow: {} > {n}",
-                open.row_inputs.len()
-            );
-        }
-        if !open.is_empty() {
-            let (tile, rows, detail) = open.close(layer, k as u32, record);
-            tiles.push(tile);
-            tile_rows.push(rows);
-            if let Some(d) = detail {
-                details.push(d);
-            }
+    for phase in 0..max_degree {
+        fields.for_each_run(|run| packer.pack_run(run, phase, &mut field, &mut weight_ids));
+        if !packer.open.is_empty() {
+            packer.close(phase as u32);
         }
     }
+    let Packer {
+        tiles,
+        tile_rows,
+        details,
+        ..
+    } = packer;
 
     let total_synapses: u64 = tiles.iter().map(|t| t.synapses as u64).sum();
     assert_eq!(
@@ -667,11 +750,20 @@ fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> Layer
         fields.synapse_count() as u64,
         "partition must cover every synapse exactly once"
     );
-
     debug_assert!(tiles
         .iter()
         .zip(&tile_rows)
-        .all(|(t, r)| t.rows as usize == r.len()));
+        .all(|(t, r)| t.rows as usize == r.len() && r.len() <= n));
+    // Phase 0 holds one column of every output with a non-empty field,
+    // and phase k one of every output with more than k chunks. So the
+    // degrees sum to one per output, empty fields included, plus the
+    // columns of the later phases.
+    let degree_sum = outputs as u64
+        + tiles
+            .iter()
+            .filter(|t| t.chunk > 0)
+            .map(|t| u64::from(t.cols))
+            .sum::<u64>();
     // Connections over the dense matrix's; an empty matrix has density 0.
     let density = if inputs == 0 || outputs == 0 {
         0.0
@@ -682,8 +774,8 @@ fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> Layer
         layer,
         tiles,
         tile_rows,
-        details: record.then_some(details),
-        max_degree,
+        details: options.record_details.then_some(details),
+        max_degree: max_degree as u32,
         mean_degree: if outputs == 0 {
             0.0
         } else {
@@ -874,27 +966,57 @@ mod tests {
 
     #[test]
     fn repeated_fields_pack_like_the_general_path() {
-        let conv = |input, maps, padding, table| LayerSpec::Conv2d {
+        let conv = |input, maps, kernel, padding, table| LayerSpec::Conv2d {
             input,
             maps,
-            kernel: 3,
+            kernel,
             stride: 1,
             padding,
             table,
         };
+        let banded = |fan| ChannelTable::Banded { fan };
         let layers = [
             // 40 maps outnumber every MCA's columns, so one position's run
             // of repeated fields spans tiles; fan-in 18 spans MCA 8 and 16
             // rows, so the runs repeat in every phase.
-            conv(Shape::new(6, 6, 2), 40, Padding::Valid, ChannelTable::Full),
-            // Edge positions share a first input, so their runs interleave.
-            conv(Shape::new(6, 6, 2), 40, Padding::Same, ChannelTable::Full),
-            // Maps 0, 3 and 6 read input map 0, maps 1, 4 and 7 map 1, ...
             conv(
-                Shape::new(6, 6, 3),
-                9,
+                Shape::new(6, 6, 2),
+                40,
+                3,
                 Padding::Valid,
-                ChannelTable::Banded { fan: 1 },
+                ChannelTable::Full,
+            ),
+            // Edge positions share a first input, so their runs interleave.
+            conv(
+                Shape::new(6, 6, 2),
+                40,
+                3,
+                Padding::Same,
+                ChannelTable::Full,
+            ),
+            // The kernel covers the whole input from the edge positions, so
+            // some positions read identical inputs and share runs, and
+            // others interleave with them.
+            conv(Shape::new(3, 4, 2), 5, 5, Padding::Same, ChannelTable::Full),
+            // Maps 0, 3 and 6 read input map 0, maps 1, 4 and 7 map 1, ...
+            conv(Shape::new(6, 6, 3), 9, 3, Padding::Valid, banded(1)),
+            // Maps 0 and 3 read input maps 0 and 1, but map 2 (maps 0 and
+            // 2) sorts between them; maps 1, 4 and 7 are adjacent.
+            conv(Shape::new(6, 6, 3), 8, 3, Padding::Same, banded(2)),
+            // Every field is empty.
+            conv(Shape::new(6, 6, 3), 4, 3, Padding::Valid, banded(0)),
+            LayerSpec::AvgPool {
+                input: Shape::new(6, 6, 3),
+                window: 2,
+            },
+            // Fan-in 9: a position's run of 24 maps spans three tiles at
+            // MCA 8 in each of its two phases.
+            conv(
+                Shape::new(5, 5, 1),
+                24,
+                3,
+                Padding::Valid,
+                ChannelTable::Full,
             ),
         ];
         for spec in &layers {

@@ -5,11 +5,13 @@
 //! enumerate its synapses as `(output, input, weight-id)` triples via
 //! [`LayerSpec::for_each_synapse`]; that enumeration is the source of
 //! truth for the functional simulator's kernels and the connectivity
-//! matrix. Conv and pool layers also describe each output's receptive
-//! field in closed form ([`LayerSpec::receptive_fields`]), built from
-//! per-axis valid-tap ranges: the hardware mapper packs tiles straight
-//! from it, and [`LayerSpec::synapse_count`] sums the same ranges. Both
-//! are property-tested against the enumeration.
+//! matrix. Conv and pool layers also describe their receptive fields in
+//! closed form ([`LayerSpec::receptive_fields`]), built from per-axis
+//! valid-tap ranges: they list the outputs in the hardware mapper's
+//! packing order, as runs of outputs that read identical inputs, and the
+//! mapper packs tiles straight from them. [`LayerSpec::synapse_count`]
+//! sums the same ranges. Both are property-tested against the
+//! enumeration.
 //!
 //! Convolution layers support LeNet-style *channel tables*
 //! ([`ChannelTable::Banded`]) in which each output map connects to only a
@@ -383,17 +385,33 @@ impl LayerSpec {
             }
             LayerSpec::Dense { .. } => return None,
         };
-        let axis = |outs: usize, len: usize| -> Vec<AxisWindow> {
-            (0..outs)
-                .map(|o| {
-                    let taps = axis_taps(o, len, kernel, stride, pad);
-                    AxisWindow {
-                        first: o * stride + taps.start - pad,
-                        taps,
-                    }
-                })
-                .collect()
+        let axis = |outs: usize, len: usize| {
+            Axis::new(
+                (0..outs)
+                    .map(|o| {
+                        let taps = axis_taps(o, len, kernel, stride, pad);
+                        AxisWindow {
+                            first: o * stride + taps.start - pad,
+                            taps,
+                        }
+                    })
+                    .collect(),
+            )
         };
+        // When the table reads no channel, every field is empty and no map
+        // is in a run. Otherwise the maps go in the order of their first
+        // channel, which at any one position is the order of their fields'
+        // first inputs.
+        let mut maps: Vec<usize> = (0..output.channels).filter(|_| fan_maps > 0).collect();
+        maps.sort_by_key(|&m| channels[m * fan_maps].0);
+        let channel_list = |m: usize| channels[m * fan_maps..][..fan_maps].iter().map(|&(c, _)| c);
+        let map_runs = runs_by(maps.len(), |a, b| {
+            channel_list(maps[a]).eq(channel_list(maps[b]))
+        });
+        let groups = runs_by(map_runs.len(), |a, b| {
+            let first = |run: usize| channels[maps[map_runs[run].start] * fan_maps].0;
+            first(a) == first(b)
+        });
         Some(ReceptiveFields {
             input,
             output,
@@ -404,8 +422,24 @@ impl LayerSpec {
             fan_maps,
             tap_step,
             synapses: self.synapse_count(),
+            maps,
+            map_runs,
+            groups,
         })
     }
+}
+
+/// Splits `0..len` into maximal ranges of consecutive indices that `same`
+/// puts together; `same(a, b)` must be an equivalence.
+fn runs_by(len: usize, mut same: impl FnMut(usize, usize) -> bool) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for i in 0..len {
+        match runs.last_mut() {
+            Some(run) if same(run.start, i) => run.end = i + 1,
+            _ => runs.push(i..i + 1),
+        }
+    }
+    runs
 }
 
 /// Input maps each output map of a convolution reads.
@@ -474,10 +508,53 @@ struct AxisWindow {
     taps: Range<usize>,
 }
 
+/// The windows of one output axis, grouped the way the packing order
+/// visits them.
+///
+/// A window's first coordinate, `max(o·stride − pad, 0)`, never decreases
+/// with the position `o`, and it ties only for the positions whose window
+/// the padding clips at the axis's start. Among those, the tap count
+/// grows with `o` until the kernel covers the whole axis, and it stays
+/// there. So `keys` ascend in first coordinate, and the classes of one
+/// key ascend in tap count. On a valid layer every window has a tap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Axis {
+    /// Per output position.
+    windows: Vec<AxisWindow>,
+    /// Maximal ranges of positions that read the same input coordinates:
+    /// equal first coordinate and tap count.
+    classes: Vec<Range<usize>>,
+    /// Maximal ranges of `classes` with the same first coordinate.
+    keys: Vec<Range<usize>>,
+}
+
+impl Axis {
+    fn new(windows: Vec<AxisWindow>) -> Self {
+        let classes = runs_by(windows.len(), |a, b| {
+            let (a, b) = (&windows[a], &windows[b]);
+            a.first == b.first && a.taps.len() == b.taps.len()
+        });
+        let keys = runs_by(classes.len(), |a, b| {
+            windows[classes[a].start].first == windows[classes[b].start].first
+        });
+        Self {
+            windows,
+            classes,
+            keys,
+        }
+    }
+
+    /// The widest window's tap count.
+    fn max_taps(&self) -> usize {
+        self.windows.iter().map(|w| w.taps.len()).max().unwrap_or(0)
+    }
+}
+
 /// Closed-form receptive fields of a conv or pool layer (see
-/// [`LayerSpec::receptive_fields`]): each output's fan-in, first input
-/// and sorted inputs, with their weight ids, without the layer's
-/// connectivity matrix.
+/// [`LayerSpec::receptive_fields`]), without the layer's connectivity
+/// matrix. [`Self::for_each_run`] lists the outputs in the order the
+/// hardware mapper packs them, as runs of outputs that read identical
+/// inputs; a run reads out its shared field and each output's weight ids.
 ///
 /// An output's field lists its input channels in ascending order; within
 /// a channel, its valid kernel rows in order, each a run of consecutive
@@ -489,10 +566,8 @@ pub struct ReceptiveFields {
     input: Shape,
     output: Shape,
     kernel: usize,
-    /// Per output row.
-    rows: Vec<AxisWindow>,
-    /// Per output column.
-    cols: Vec<AxisWindow>,
+    rows: Axis,
+    cols: Axis,
     /// Each output map's input channels in ascending order, `fan_maps` per
     /// map, with the weight id of the channel's kernel tap (0, 0).
     channels: Vec<(usize, usize)>,
@@ -501,6 +576,13 @@ pub struct ReceptiveFields {
     /// weights, 0 for a pool's one shared weight.
     tap_step: usize,
     synapses: usize,
+    /// The output maps that read an input, ordered by (first input
+    /// channel, map).
+    maps: Vec<usize>,
+    /// Maximal ranges of `maps` that read the same input channels.
+    map_runs: Vec<Range<usize>>,
+    /// Maximal ranges of `map_runs` with the same first input channel.
+    groups: Vec<Range<usize>>,
 }
 
 impl ReceptiveFields {
@@ -519,67 +601,95 @@ impl ReceptiveFields {
         self.synapses
     }
 
-    /// Output `o`'s map and its row and column windows.
-    fn locate(&self, o: usize) -> (usize, &AxisWindow, &AxisWindow) {
-        let plane = self.output.height * self.output.width;
-        let (map, at) = (o / plane, o % plane);
-        (
-            map,
-            &self.rows[at / self.output.width],
-            &self.cols[at % self.output.width],
-        )
-    }
-
-    /// Fan-in of output `o`.
-    pub fn fan_in(&self, o: usize) -> usize {
-        let (_, row, col) = self.locate(o);
-        self.fan_maps * row.taps.len() * col.taps.len()
-    }
-
-    /// Whether outputs `a` and `b` read the same inputs: they sit at the
-    /// same position and their maps read the same input maps (their
-    /// weights may differ). It compares the two maps' channel lists, so it
-    /// costs one step per input map an output map reads, not one per
-    /// synapse.
-    pub fn same_inputs(&self, a: usize, b: usize) -> bool {
-        let plane = self.output.height * self.output.width;
-        let channels = |o: usize| {
-            self.channels[o / plane * self.fan_maps..][..self.fan_maps]
-                .iter()
-                .map(|&(channel, _)| channel)
-        };
-        a % plane == b % plane && channels(a).eq(channels(b))
-    }
-
-    /// The smallest input id in output `o`'s field, or 0 if the field is
-    /// empty.
-    pub fn first_input(&self, o: usize) -> usize {
-        let (map, row, col) = self.locate(o);
-        if self.fan_maps == 0 || row.taps.is_empty() || col.taps.is_empty() {
+    /// The largest fan-in of any output; 0 if no output reads an input.
+    pub fn max_fan_in(&self) -> usize {
+        if self.maps.is_empty() {
             return 0;
         }
-        let (channel, _) = self.channels[map * self.fan_maps];
-        self.input.index(channel, row.first, col.first)
+        self.fan_maps * self.rows.max_taps() * self.cols.max_taps()
     }
 
-    /// Appends entries `range` of output `o`'s field, in ascending input
-    /// order, to `inputs`, and their weight ids to `weight_ids` when it is
+    /// Calls `f` with every output whose field is non-empty, in
+    /// (first input, output id) order, as maximal runs of consecutive
+    /// outputs that read identical inputs.
+    ///
+    /// An output's first input is (first channel, first row, first
+    /// column), compared in that order, and its id is (map, row, column).
+    /// So the outputs with one first input are the maps with one first
+    /// channel, at the output rows whose windows start at one input row
+    /// and the output columns whose windows start at one input column,
+    /// map-major. Two of them read the same inputs when their maps read
+    /// the same channels and their windows have the same extent. Windows
+    /// start alike only where padding clips them at the start of an axis,
+    /// and there they differ in extent unless the kernel spans the whole
+    /// axis. When all the positions of one first input read the same
+    /// windows, a run is a range of maps with equal channel lists at all
+    /// of them: every map of a full-table conv at one position. Otherwise
+    /// a run stays within one map: output rows of one extent across the
+    /// columns, when those read one extent, else output columns of one
+    /// extent within one row.
+    pub fn for_each_run<'a>(&'a self, mut f: impl FnMut(FieldRun<'a>)) {
+        let run = |maps, rows, cols| FieldRun {
+            fields: self,
+            maps,
+            rows,
+            cols,
+        };
+        let span = |ranges: &[Range<usize>]| ranges[0].start..ranges[ranges.len() - 1].end;
+        for group in &self.groups {
+            let map_runs = &self.map_runs[group.clone()];
+            let group_maps = &self.maps[span(map_runs)];
+            for row_key in &self.rows.keys {
+                let row_classes = &self.rows.classes[row_key.clone()];
+                for col_key in &self.cols.keys {
+                    let col_classes = &self.cols.classes[col_key.clone()];
+                    match (row_classes, col_classes) {
+                        ([rows], [cols]) => {
+                            for maps in map_runs {
+                                f(run(&self.maps[maps.clone()], rows.clone(), cols.clone()));
+                            }
+                        }
+                        (_, [cols]) => {
+                            for map in group_maps.chunks(1) {
+                                for rows in row_classes {
+                                    f(run(map, rows.clone(), cols.clone()));
+                                }
+                            }
+                        }
+                        _ => {
+                            for map in group_maps.chunks(1) {
+                                for y in span(row_classes) {
+                                    for cols in col_classes {
+                                        f(run(map, y..y + 1, cols.clone()));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Appends entries `range` of the field that output map `map` reads
+    /// through the windows `row` × `col`, in ascending input order: the
+    /// inputs to `inputs` and their weight ids to `weight_ids`, each when
     /// given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` reaches past the output's fan-in.
-    pub fn extend_field(
+    fn extend(
         &self,
-        o: usize,
+        map: usize,
+        (row, col): (&AxisWindow, &AxisWindow),
         range: Range<usize>,
-        inputs: &mut Vec<u32>,
+        mut inputs: Option<&mut Vec<u32>>,
         mut weight_ids: Option<&mut Vec<u32>>,
     ) {
+        assert!(
+            range.end <= self.fan_maps * row.taps.len() * col.taps.len(),
+            "field range {range:?} reaches past the fan-in"
+        );
         if range.is_empty() {
             return;
         }
-        let (map, row, col) = self.locate(o);
         let (height, width) = (row.taps.len(), col.taps.len());
         let channels = &self.channels[map * self.fan_maps..][..self.fan_maps];
         // Entry `range.start` is tap `x` of kernel row `y` of the field's
@@ -591,8 +701,10 @@ impl ReceptiveFields {
         while left > 0 {
             let len = (width - x).min(left);
             let (channel, weight) = channels[c];
-            let first = self.input.index(channel, row.first + y, col.first + x);
-            inputs.extend((first..first + len).map(|i| i as u32));
+            if let Some(inputs) = inputs.as_deref_mut() {
+                let first = self.input.index(channel, row.first + y, col.first + x);
+                inputs.extend((first..first + len).map(|i| i as u32));
+            }
             if let Some(ids) = weight_ids.as_deref_mut() {
                 let tap = (row.taps.start + y) * self.kernel + col.taps.start + x;
                 ids.extend((tap..tap + len).map(|k| (weight + k * self.tap_step) as u32));
@@ -605,6 +717,92 @@ impl ReceptiveFields {
                 c += 1;
             }
         }
+    }
+}
+
+/// A maximal run of consecutive outputs, in packing order, that read
+/// identical inputs (see [`ReceptiveFields::for_each_run`]): each map of
+/// `maps` at each position of `rows` × `cols`, map-major. Its outputs
+/// differ only in their weights.
+#[derive(Debug, Clone)]
+pub struct FieldRun<'a> {
+    fields: &'a ReceptiveFields,
+    maps: &'a [usize],
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+impl<'a> FieldRun<'a> {
+    /// Number of outputs in the run; at least one.
+    pub fn output_count(&self) -> usize {
+        self.maps.len() * self.rows.len() * self.cols.len()
+    }
+
+    /// The fan-in every output of the run shares.
+    pub fn fan_in(&self) -> usize {
+        let (row, col) = self.windows();
+        self.fields.fan_maps * row.taps.len() * col.taps.len()
+    }
+
+    /// Appends entries `range` of the run's shared field, in ascending
+    /// order, to `inputs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the run's fan-in.
+    pub fn extend_inputs(&self, range: Range<usize>, inputs: &mut Vec<u32>) {
+        self.fields
+            .extend(self.maps[0], self.windows(), range, Some(inputs), None);
+    }
+
+    /// The run's outputs, in packing order.
+    pub fn outputs(&self) -> impl Iterator<Item = RunOutput<'a>> + 'a {
+        let fields = self.fields;
+        let (rows, cols) = (self.rows.clone(), self.cols.clone());
+        self.maps.iter().flat_map(move |&map| {
+            let cols = cols.clone();
+            rows.clone()
+                .flat_map(move |y| cols.clone().map(move |x| RunOutput { fields, map, y, x }))
+        })
+    }
+
+    /// The row and column windows every output of the run reads through.
+    fn windows(&self) -> (&'a AxisWindow, &'a AxisWindow) {
+        (
+            &self.fields.rows.windows[self.rows.start],
+            &self.fields.cols.windows[self.cols.start],
+        )
+    }
+}
+
+/// One output of a [`FieldRun`].
+#[derive(Debug, Clone, Copy)]
+pub struct RunOutput<'a> {
+    fields: &'a ReceptiveFields,
+    map: usize,
+    y: usize,
+    x: usize,
+}
+
+impl RunOutput<'_> {
+    /// The output's id.
+    pub fn id(&self) -> usize {
+        self.fields.output.index(self.map, self.y, self.x)
+    }
+
+    /// Appends the weight ids of entries `range` of the output's field,
+    /// in the field's order, to `weight_ids`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the output's fan-in.
+    pub fn extend_weight_ids(&self, range: Range<usize>, weight_ids: &mut Vec<u32>) {
+        let windows = (
+            &self.fields.rows.windows[self.y],
+            &self.fields.cols.windows[self.x],
+        );
+        self.fields
+            .extend(self.map, windows, range, None, Some(weight_ids));
     }
 }
 
@@ -1045,6 +1243,41 @@ mod tests {
         assert_eq!(invalid_layer(built), 0);
     }
 
+    /// An output's sorted (input, weight id) entries.
+    type Entries = Vec<(u32, u32)>;
+
+    /// Each run of `l`'s fields: its output ids, and the shared field
+    /// paired with each output's weight ids.
+    fn runs(l: &LayerSpec) -> Vec<(Vec<usize>, Vec<Entries>)> {
+        let fields = l.receptive_fields().unwrap();
+        let mut runs = Vec::new();
+        fields.for_each_run(|run| {
+            let mut inputs = Vec::new();
+            run.extend_inputs(0..run.fan_in(), &mut inputs);
+            let (ids, entries): (Vec<usize>, _) = run
+                .outputs()
+                .map(|out| {
+                    let mut weight_ids = Vec::new();
+                    out.extend_weight_ids(0..run.fan_in(), &mut weight_ids);
+                    (out.id(), inputs.iter().copied().zip(weight_ids).collect())
+                })
+                .unzip();
+            assert_eq!(run.output_count(), ids.len());
+            runs.push((ids, entries));
+        });
+        runs
+    }
+
+    /// Each output's `for_each_synapse` entries, sorted.
+    fn sorted_entries(l: &LayerSpec) -> Vec<Entries> {
+        let mut entries = vec![Vec::new(); l.output_count()];
+        l.for_each_synapse(|o, i, w| entries[o].push((i as u32, w as u32)));
+        for e in &mut entries {
+            e.sort_unstable();
+        }
+        entries
+    }
+
     #[test]
     fn receptive_field_of_a_wrapping_banded_map_is_sorted() {
         // Map 2 of a fan-2 table over 3 input maps reads maps 2 and 0; its
@@ -1058,20 +1291,13 @@ mod tests {
             table: ChannelTable::Banded { fan: 2 },
         };
         let o = l.output_shape().unwrap().index(2, 1, 0);
-        let mut want = Vec::new();
-        l.for_each_synapse(|out, i, w| {
-            if out == o {
-                want.push((i as u32, w as u32));
-            }
-        });
-        want.sort_unstable();
-        let fields = l.receptive_fields().unwrap();
-        let (mut inputs, mut weight_ids) = (Vec::new(), Vec::new());
-        fields.extend_field(o, 0..fields.fan_in(o), &mut inputs, Some(&mut weight_ids));
-        assert_eq!(inputs[0], 4); // map 0, row 1, column 0
-        assert_eq!(fields.first_input(o), 4);
-        let got: Vec<(u32, u32)> = inputs.into_iter().zip(weight_ids).collect();
-        assert_eq!(got, want);
+        let (ids, entries) = runs(&l)
+            .into_iter()
+            .find(|(ids, _)| ids.contains(&o))
+            .unwrap();
+        let got = &entries[ids.iter().position(|&id| id == o).unwrap()];
+        assert_eq!(got[0].0, 4); // map 0, row 1, column 0
+        assert_eq!(got, &sorted_entries(&l)[o]);
         assert!(LayerSpec::Dense {
             inputs: 3,
             outputs: 2
@@ -1081,59 +1307,82 @@ mod tests {
     }
 
     #[test]
-    fn same_inputs_holds_only_for_identical_fields() {
-        let banded = |padding| LayerSpec::Conv2d {
-            input: Shape::new(4, 4, 3),
-            maps: 9,
-            kernel: 3,
+    fn runs_are_maximal_blocks_of_identical_fields() {
+        let conv = |input, maps, kernel, padding, fan: Option<usize>| LayerSpec::Conv2d {
+            input,
+            maps,
+            kernel,
             stride: 1,
             padding,
-            table: ChannelTable::Banded { fan: 1 },
+            table: fan.map_or(ChannelTable::Full, |fan| ChannelTable::Banded { fan }),
         };
-        let full = LayerSpec::Conv2d {
-            input: Shape::new(5, 5, 2),
-            maps: 4,
-            kernel: 3,
-            stride: 1,
-            padding: Padding::Valid,
-            table: ChannelTable::Full,
-        };
+        let banded = |padding| conv(Shape::new(4, 4, 3), 9, 3, padding, Some(1));
+        let full = conv(Shape::new(5, 5, 2), 4, 3, Padding::Valid, None);
         let pool = LayerSpec::AvgPool {
             input: Shape::new(4, 4, 2),
             window: 2,
         };
-        for l in [banded(Padding::Valid), banded(Padding::Same), full, pool] {
-            let fields = l.receptive_fields().unwrap();
-            let field = |o: usize| {
-                let mut inputs = Vec::new();
-                fields.extend_field(o, 0..fields.fan_in(o), &mut inputs, None);
-                inputs
-            };
-            let all: Vec<Vec<u32>> = (0..fields.outputs()).map(field).collect();
-            for a in 0..all.len() {
-                assert!(fields.same_inputs(a, a));
-                for b in 0..all.len() {
-                    if fields.same_inputs(a, b) {
-                        assert_eq!(all[a], all[b], "{l:?}: outputs {a} and {b}");
-                    }
+        // Maps 0 and 3 read input maps 0 and 1, but map 2 (maps 2 and 0)
+        // comes between them.
+        let fan2 = conv(Shape::new(4, 4, 3), 6, 3, Padding::Valid, Some(2));
+        // Every field is empty.
+        let fan0 = conv(Shape::new(4, 4, 3), 3, 3, Padding::Valid, Some(0));
+        // The kernel covers the whole 2×2 input from every position.
+        let wide = conv(Shape::new(2, 2, 1), 3, 5, Padding::Same, None);
+        for l in [
+            banded(Padding::Valid),
+            banded(Padding::Same),
+            full,
+            pool,
+            fan2,
+            fan0,
+            wide,
+        ] {
+            let want = sorted_entries(&l);
+            let runs = runs(&l);
+            // Every output with a field, in (first input, output id) order.
+            let order: Vec<usize> = runs.iter().flat_map(|(ids, _)| ids.clone()).collect();
+            let mut sorted: Vec<usize> = (0..want.len()).filter(|&o| !want[o].is_empty()).collect();
+            sorted.sort_by_key(|&o| (want[o][0].0, o));
+            assert_eq!(order, sorted, "{l:?}");
+            for (ids, entries) in &runs {
+                for (&o, got) in ids.iter().zip(entries) {
+                    assert_eq!(got, &want[o], "{l:?}: output {o}");
                 }
+            }
+            // Maximal: neighbouring runs read different inputs.
+            let inputs = |o: usize| want[o].iter().map(|&(i, _)| i).collect::<Vec<_>>();
+            for pair in runs.windows(2) {
+                let (a, b) = (pair[0].0[0], pair[1].0[0]);
+                assert_ne!(inputs(a), inputs(b), "{l:?}: outputs {a} and {b}");
             }
         }
         // Maps 0, 3 and 6 of a fan-1 table over 3 input maps all read
-        // input map 0; map 1 reads map 1. Every map of a full table reads
-        // every input map. A pool's maps read their own channels.
-        let at = |l: &LayerSpec, map| l.output_shape().unwrap().index(map, 1, 1);
-        let (b, f) = (banded(Padding::Same), full);
-        let (bf, ff, pf) = (
-            b.receptive_fields().unwrap(),
-            f.receptive_fields().unwrap(),
-            pool.receptive_fields().unwrap(),
-        );
-        assert!(bf.same_inputs(at(&b, 0), at(&b, 3)) && bf.same_inputs(at(&b, 3), at(&b, 6)));
-        assert!(!bf.same_inputs(at(&b, 0), at(&b, 1)));
-        assert!(!bf.same_inputs(at(&b, 0), b.output_shape().unwrap().index(3, 1, 2)));
-        assert!(ff.same_inputs(at(&f, 0), at(&f, 3)));
-        assert!(!pf.same_inputs(at(&pool, 0), at(&pool, 1)));
+        // input map 0, and map 1 reads map 1: at one position, the first
+        // three are one run, unless the position shares its first input
+        // with another (row or column 0 or 1 under Same padding). Every map of a full table reads every input
+        // map. A pool's maps read their own channels, and the wide conv
+        // reads the same inputs from every position.
+        let run_of = |l: &LayerSpec, map, y, x| {
+            let o = l.output_shape().unwrap().index(map, y, x);
+            runs(l)
+                .into_iter()
+                .map(|(ids, _)| ids)
+                .find(|ids| ids.contains(&o))
+                .unwrap()
+        };
+        let at = |l: &LayerSpec, maps: &[usize], y, x| -> Vec<usize> {
+            let shape = l.output_shape().unwrap();
+            maps.iter().map(|&m| shape.index(m, y, x)).collect()
+        };
+        let b = banded(Padding::Same);
+        assert_eq!(run_of(&b, 3, 2, 2), at(&b, &[0, 3, 6], 2, 2));
+        assert_eq!(run_of(&b, 3, 1, 1), at(&b, &[3], 1, 1));
+        assert_eq!(run_of(&full, 2, 1, 1), at(&full, &[0, 1, 2, 3], 1, 1));
+        assert_eq!(run_of(&pool, 1, 1, 1), at(&pool, &[1], 1, 1));
+        assert_eq!(run_of(&fan2, 3, 0, 0), at(&fan2, &[3], 0, 0));
+        assert_eq!(run_of(&fan2, 4, 0, 0), at(&fan2, &[1, 4], 0, 0));
+        assert_eq!(run_of(&wide, 1, 1, 0).len(), 12);
     }
 
     #[test]

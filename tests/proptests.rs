@@ -34,9 +34,11 @@ proptest! {
     /// a tile, and both routes the mapper takes — the dense grid tiler and
     /// the conv/pool packer streamed from layer geometry — equal the
     /// general connectivity-matrix path at every MCA size under every
-    /// option set. Layers are dense (zero-width included), conv or pool
-    /// (see [`spatial_spec`]). Up to 23 maps, so a run of one position's
-    /// repeated fields can outgrow an MCA's columns.
+    /// option set. Recording details changes nothing else: details-on
+    /// packs a run of identical fields column by column, details-off with
+    /// input sharing by counts per tile. Layers are dense (zero-width
+    /// included), conv or pool (see [`spatial_spec`]). Up to 23 maps, so a
+    /// run of one position's repeated fields can outgrow an MCA's columns.
     #[test]
     fn partition_spec_matches_general_path(
         kind in 0usize..3,
@@ -65,6 +67,22 @@ proptest! {
                     "{} route differs from the general path: {spec:?}, {opts:?}",
                     spec.kind()
                 );
+                if record_details {
+                    let plain = PartitionOptions { record_details: false, ..opts };
+                    let pairs = [
+                        ("general", part.clone(), partition_layer(&conn, 3, &plain)),
+                        ("direct", direct.clone(), partition_spec(&spec, 3, &plain)),
+                    ];
+                    for (source, mut detailed, without) in pairs {
+                        detailed.details = None;
+                        prop_assert!(
+                            detailed == without,
+                            "{source} {} route packs differently with details: {spec:?}, {opts:?}",
+                            spec.kind()
+                        );
+                        prop_assert_eq!(detailed.mean_degree.to_bits(), without.mean_degree.to_bits());
+                    }
+                }
                 prop_assert_eq!(direct.mean_degree.to_bits(), part.mean_degree.to_bits());
                 prop_assert_eq!(part.total_synapses, spec.synapse_count() as u64);
                 prop_assert!(part.tiles.iter().all(|t| t.rows as usize <= mca && t.cols as usize <= mca));
@@ -78,10 +96,13 @@ proptest! {
         }
     }
 
-    /// Every conv/pool output's closed-form receptive field, read in two
-    /// pieces split anywhere, is its sorted `for_each_synapse` entries,
-    /// weight ids included; its first input and fan-in agree, and the
-    /// closed-form synapse count equals the enumeration's.
+    /// The closed-form receptive fields list every conv/pool output with a
+    /// non-empty field exactly once, in (first input, output id) order, as
+    /// maximal runs of consecutive outputs whose sorted `for_each_synapse`
+    /// inputs are equal. Each output's field, read in two pieces split
+    /// anywhere, is its sorted entries, weight ids included, and the run's
+    /// fan-in is its length. The closed-form synapse count and largest
+    /// fan-in equal the enumeration's.
     #[test]
     fn receptive_fields_match_sorted_enumeration(
         pool in any::<bool>(),
@@ -94,20 +115,49 @@ proptest! {
         let spec = spatial_spec(pool, input, conv, banded, fan);
         let mut entries = vec![Vec::new(); spec.output_count()];
         spec.for_each_synapse(|o, i, w| entries[o].push((i as u32, w as u32)));
+        for want in &mut entries {
+            want.sort_unstable();
+        }
         prop_assert_eq!(spec.synapse_count(), entries.iter().map(Vec::len).sum::<usize>());
         let fields = spec.receptive_fields().expect("a spatial layer");
         prop_assert_eq!(fields.synapse_count(), spec.synapse_count());
-        for (o, mut want) in entries.into_iter().enumerate() {
-            want.sort_unstable();
-            let fan_in = fields.fan_in(o);
-            prop_assert_eq!(fan_in, want.len());
-            prop_assert_eq!(fields.first_input(o), want.first().map_or(0, |&(i, _)| i as usize));
+        prop_assert_eq!(fields.max_fan_in(), entries.iter().map(Vec::len).max().unwrap_or(0));
+
+        // Each run's output count, and each of its outputs with the
+        // shared field zipped to the output's weight ids.
+        let mut runs = Vec::new();
+        fields.for_each_run(|run| {
+            let fan_in = run.fan_in();
             let cut = (split * fan_in as f64) as usize;
-            let (mut inputs, mut weight_ids) = (Vec::new(), Vec::new());
-            fields.extend_field(o, 0..cut, &mut inputs, Some(&mut weight_ids));
-            fields.extend_field(o, cut..fan_in, &mut inputs, Some(&mut weight_ids));
-            let got: Vec<(u32, u32)> = inputs.into_iter().zip(weight_ids).collect();
-            prop_assert!(got == want, "output {o} of {spec:?}: {got:?} != {want:?}");
+            let mut inputs = Vec::new();
+            run.extend_inputs(0..cut, &mut inputs);
+            run.extend_inputs(cut..fan_in, &mut inputs);
+            let outputs: Vec<(usize, Vec<(u32, u32)>)> = run
+                .outputs()
+                .map(|out| {
+                    let mut weight_ids = Vec::new();
+                    out.extend_weight_ids(0..cut, &mut weight_ids);
+                    out.extend_weight_ids(cut..fan_in, &mut weight_ids);
+                    (out.id(), inputs.iter().copied().zip(weight_ids).collect())
+                })
+                .collect();
+            runs.push((run.output_count(), outputs));
+        });
+        for (count, outputs) in &runs {
+            prop_assert_eq!(*count, outputs.len());
+            for (o, got) in outputs {
+                prop_assert!(got == &entries[*o], "output {o} of {spec:?}: {got:?} != {:?}", entries[*o]);
+            }
+        }
+
+        let order: Vec<usize> = runs.iter().flat_map(|(_, outs)| outs.iter().map(|&(o, _)| o)).collect();
+        let mut want: Vec<usize> = (0..entries.len()).filter(|&o| !entries[o].is_empty()).collect();
+        want.sort_by_key(|&o| (entries[o][0].0, o));
+        prop_assert!(order == want, "{spec:?}: order {order:?} != {want:?}");
+        let inputs = |o: usize| entries[o].iter().map(|&(i, _)| i).collect::<Vec<_>>();
+        for pair in runs.windows(2) {
+            let (a, b) = (pair[0].1[0].0, pair[1].1[0].0);
+            prop_assert!(inputs(a) != inputs(b), "{spec:?}: runs of {a} and {b} read the same inputs");
         }
     }
 

@@ -247,6 +247,8 @@ impl OpenTile {
         }
         if sharing {
             for &i in inputs {
+                #[cfg(test)]
+                tests::PROBES.with(|p| p.set(p.get() + 1));
                 let slot = &mut self.slot_of[i as usize];
                 if *slot != NO_ROW {
                     continue;
@@ -792,9 +794,46 @@ fn pack(fields: &impl Fields, layer: usize, options: &PartitionOptions) -> Layer
 mod tests {
     use super::*;
     use resparc_neuro::topology::{ChannelTable, Padding, Shape};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Chunk entries that `OpenTile::try_push` has probed on this
+        /// thread (each test runs on its own thread).
+        pub(super) static PROBES: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn conn(spec: &LayerSpec) -> ConnectivityMatrix {
         ConnectivityMatrix::from_layer(spec)
+    }
+
+    /// The packer probes a run's chunk once per tile the run spans, not
+    /// once per output: a count, so unlike the mapper's timing gates it
+    /// does not depend on the machine's speed. CIFAR10-CNN's conv1 (216
+    /// maps over 32×32, 5×5 kernel) packs 784 positions as 784 runs of
+    /// 216 outputs; pool1 (2×2 windows over its 28×28×216 output) packs
+    /// 42,336 runs of one. A packer that pushed each output of a run on
+    /// its own would probe conv1's 25-entry chunk 216 times per position.
+    #[test]
+    fn conv_and_pool_probe_each_run_chunk_once_per_tile() {
+        let conv1 = LayerSpec::Conv2d {
+            input: Shape::new(32, 32, 1),
+            maps: 216,
+            kernel: 5,
+            stride: 1,
+            padding: Padding::Valid,
+            table: ChannelTable::Full,
+        };
+        let pool1 = LayerSpec::AvgPool {
+            input: Shape::new(28, 28, 216),
+            window: 2,
+        };
+        for (spec, expected) in [(conv1, 83_300u64), (pool1, 171_989)] {
+            PROBES.with(|p| p.set(0));
+            let p = partition_spec(&spec, 0, &PartitionOptions::new(64));
+            assert_eq!(p.total_synapses, conn(&spec).synapse_count() as u64);
+            let probes = PROBES.with(Cell::get);
+            assert_eq!(probes, expected, "{spec:?}: {} tiles", p.tile_count());
+        }
     }
 
     #[test]

@@ -17,8 +17,12 @@
 //!   row).
 //!
 //! Dense (MLP) layers skip index arrays entirely and store the weight
-//! matrix plus its transpose, so a spiking event is a straight-line
-//! vectorizable row addition. Conv/pool layers store CSR planes.
+//! matrix plus its transpose, so a spiking input adds one contiguous
+//! row. A step's active inputs add their rows four at a time, in one
+//! vectorizable pass over the currents per four rows, each current
+//! summing them in ascending input order (`(((c + w_a) + w_b) + w_c) +
+//! w_d`); each current is loaded and stored once per four rows instead
+//! of once per row. Conv/pool layers store CSR planes.
 //!
 //! The compiled form is cached on the [`Network`] (`OnceLock<Arc<..>>`),
 //! so the spiking runner, the analog forward pass, conversion
@@ -274,6 +278,14 @@ impl CompiledLayer {
     /// order equals the reference input-major walk, so sums are
     /// bit-identical.
     ///
+    /// A dense layer takes its active inputs four at a time, in ascending
+    /// order, and adds their four transposed rows in one pass over the
+    /// currents as `(((c + w_a) + w_b) + w_c) + w_d`; the 0–3 inputs left
+    /// over add one row per pass. Each current therefore still sums one
+    /// row at a time in ascending input order. Regrouping the four
+    /// (say `(c + (w_a + w_b)) + …`) would break that order, and the
+    /// kernel proptest in `tests/proptests.rs` compares bits to catch it.
+    ///
     /// # Panics
     ///
     /// Panics if `spikes`/`currents` lengths disagree with the layer
@@ -285,12 +297,26 @@ impl CompiledLayer {
         match &self.plane {
             Plane::Dense { bwd, .. } => {
                 let n = self.outputs;
+                let row = |i: usize| &bwd[i * n..(i + 1) * n];
+                let mut group = [0usize; 4];
+                let mut held = 0;
                 for i in spikes.iter_ones() {
-                    let row = &bwd[i * n..(i + 1) * n];
-                    for (c, &wv) in currents.iter_mut().zip(row) {
-                        *c += wv;
+                    group[held] = i;
+                    held += 1;
+                    if held == group.len() {
+                        let [a, b, c, d] = group.map(row);
+                        let rows = currents.iter_mut().zip(a).zip(b).zip(c).zip(d);
+                        for ((((cur, &wa), &wb), &wc), &wd) in rows {
+                            *cur = (((*cur + wa) + wb) + wc) + wd;
+                        }
+                        held = 0;
                     }
                     events += n as u64;
+                }
+                for &i in &group[..held] {
+                    for (cur, &wv) in currents.iter_mut().zip(row(i)) {
+                        *cur += wv;
+                    }
                 }
             }
             Plane::Sparse {

@@ -289,6 +289,52 @@ proptest! {
         prop_assert_eq!(early_trace, trace.truncated(early.steps as usize));
     }
 
+    /// The dense spiking kernel adds a step's active inputs four rows per
+    /// pass over the currents, yet every current must still sum one row
+    /// at a time in ascending input order. Against a scalar row-at-a-time
+    /// sum, `accumulate_spikes` returns the same event count and currents
+    /// with the same bits, for every active-set size from none to all
+    /// inputs, so every remainder mod 4 occurs. Weights and starting
+    /// currents mix ±0.0, subnormals, ±1e30 (large rows that cancel) and
+    /// ordinary values, so a regrouped sum such as
+    /// `(c + (w_a + w_b)) + (w_c + w_d)` changes bits, which spike-level
+    /// tests need not see.
+    #[test]
+    fn dense_spike_accumulation_sums_rows_in_input_order(
+        inputs in 1usize..71,
+        outputs in 1usize..71,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed;
+        let weights: Vec<f32> = (0..inputs * outputs)
+            .map(|_| edge_weight(splitmix64(&mut state)))
+            .collect();
+        let start: Vec<f32> = (0..outputs).map(|_| edge_weight(splitmix64(&mut state))).collect();
+        let spec = LayerSpec::Dense { inputs, outputs };
+        let layer = CompiledLayer::compile(&Layer::new(spec, weights.clone(), 1.0));
+        let bits = |v: &[f32]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let mut order: Vec<usize> = (0..inputs).collect();
+        for active in 0..=inputs {
+            for k in (1..inputs).rev() {
+                order.swap(k, (splitmix64(&mut state) % (k as u64 + 1)) as usize);
+            }
+            let mut on = order[..active].to_vec();
+            on.sort_unstable();
+            let mut spikes = SpikeVector::new(inputs);
+            let mut expected = start.clone();
+            for &i in &on {
+                spikes.set(i, true);
+                for (o, c) in expected.iter_mut().enumerate() {
+                    *c += weights[o * inputs + i];
+                }
+            }
+            let mut currents = start.clone();
+            let events = layer.accumulate_spikes(spikes.view(), &mut currents);
+            prop_assert_eq!(events, (active * outputs) as u64);
+            prop_assert_eq!(bits(&currents), bits(&expected), "{} of {} inputs active", active, inputs);
+        }
+    }
+
     /// Replaying an all-silent trace charges zero Crossbar and Neuron
     /// energy, whatever the topology or MCA size — nothing spikes, so no
     /// read fires and no membrane integrates (the event-driven contract
@@ -1472,5 +1518,29 @@ fn spatial_spec(
         } else {
             ChannelTable::Full
         },
+    }
+}
+
+/// Weyl-sequence splitmix64: the draw source of the kernel bit-order test.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A weight or current drawn from `code`, signed by its low bit: ±0.0, a
+/// subnormal, ±1e30 (two such rows cancel to within rounding of the
+/// rest) or an ordinary value below 1e3 in magnitude, at one of seven
+/// decimal scales.
+fn edge_weight(code: u64) -> f32 {
+    let sign = if code & 1 == 0 { 1.0 } else { -1.0 };
+    let body = code >> 3;
+    sign * match (code >> 1) % 4 {
+        0 => 0.0,
+        1 => f32::from_bits(1 + (body % 0x7f_ffff) as u32),
+        2 => 1e30,
+        _ => (body % 1_000_000) as f32 / 1e6 * 10f32.powi((body % 7) as i32 - 3),
     }
 }

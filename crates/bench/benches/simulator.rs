@@ -225,10 +225,10 @@ fn bench_accuracy_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch placement on the fragmented fig_packing shape: the greedy
-/// decode (one sequential admit pass) vs the annealing search at a
-/// 64-schedule budget. Probes are pre-mapped — this times placement,
-/// not partitioning.
+/// Batch placement on the fragmented fig_packing shape: greedy (one
+/// sequential admit pass) vs the exact search (the greedy incumbent plus
+/// two leaves, one per admission order). Probes are pre-mapped — this
+/// times placement, not partitioning.
 fn bench_packing(c: &mut Criterion) {
     let sized = |layers: usize| {
         let mut hidden = vec![576usize; layers];
@@ -262,19 +262,12 @@ fn bench_packing(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("greedy", |b| {
         b.iter(|| {
-            black_box(
-                BatchPlacer::new(PlacementStrategy::Greedy)
-                    .place(black_box(&pool), black_box(&requests)),
-            )
+            black_box(PlacementStrategy::Greedy.place(black_box(&pool), black_box(&requests)))
         })
     });
     group.bench_function("optimized", |b| {
         b.iter(|| {
-            black_box(
-                BatchPlacer::new(PlacementStrategy::Optimized)
-                    .with_iterations(64)
-                    .place(black_box(&pool), black_box(&requests)),
-            )
+            black_box(PlacementStrategy::Optimized.place(black_box(&pool), black_box(&requests)))
         })
     });
     group.finish();

@@ -679,8 +679,8 @@ fn fig_tenancy_churn() -> String {
 }
 
 /// The packing scenario behind `fig_packing` and the CI packing-quality
-/// gate: the default `packing_scenario` shapes swept at the harness
-/// seed. Fully deterministic — every count in the report is
+/// gate: the default `packing_scenario` shapes, with traces encoded at
+/// the harness seed. Fully deterministic — every count in the report is
 /// machine-independent.
 fn packing_report() -> resparc_suite::resparc_workloads::PackingReport {
     use resparc_suite::resparc_workloads::{packing_scenario, packing_sweep};
@@ -695,17 +695,18 @@ fn packing_report() -> resparc_suite::resparc_workloads::PackingReport {
         &samples,
         &SweepConfig::rate(20, 0.7, SEED),
         &ResparcConfig::resparc_64(),
-        SEED,
     )
     .expect("the default scenario maps on every shape")
 }
 
 /// Packing figure (beyond the paper): the same admission batch placed
-/// by greedy first-fit and by the annealing `BatchPlacer`, across a
-/// fragmented homogeneous pool, a heterogeneous 64/32 inventory and an
-/// uncontended control. Greedy is the oracle — the optimizer is never
-/// worse on admits by construction — and the fragmented/heterogeneous
-/// rows are where the search buys real capacity back.
+/// by greedy first-fit and by the exact placement search
+/// (`PlacementStrategy::Optimized`), across a fragmented homogeneous
+/// pool, a heterogeneous 64/32 inventory and an uncontended control.
+/// Greedy is the oracle and the search's first incumbent; only a
+/// strictly better layout replaces it, so greedy wins every tie and the
+/// search is never worse on admits. The fragmented/heterogeneous rows
+/// are where the search buys real capacity back.
 pub fn fig_packing() -> String {
     let report = packing_report();
     let rows: Vec<Vec<String>> = report
@@ -733,11 +734,11 @@ pub fn fig_packing() -> String {
         })
         .collect();
     format!(
-        "Batch packing — greedy first-fit vs optimizing placer, per fabric shape\n\
-         (1/2/4/5-NC MLP tenants on RESPARC-64 inventories; the optimizer anneals\n\
-         admission order and MCA size class over the same probe/admit API, seeded\n\
-         with the greedy schedule, so it is never worse on admits; one shared\n\
-         replay round meters each layout)\n{}",
+        "Batch packing — greedy first-fit vs exact placement search, per fabric shape\n\
+         (1/2/4/5-NC MLP tenants on RESPARC-64 inventories; the search tries every\n\
+         admission order and MCA size class over the same probe/admit API, starting\n\
+         from the greedy schedule and keeping it on ties, so it is never worse on\n\
+         admits; one shared replay round meters each layout)\n{}",
         fmt_table(
             &[
                 "Shape",

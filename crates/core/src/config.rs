@@ -123,11 +123,6 @@ impl ResparcConfig {
         self.mca_size * self.mca_size
     }
 
-    /// Synapse capacity of one NeuroCell.
-    pub fn nc_capacity(&self) -> usize {
-        self.mcas_per_nc() * self.mca_capacity()
-    }
-
     /// The paper's published implementation metrics for one NeuroCell
     /// (Fig. 8).
     pub fn reported_metrics(&self) -> ReportedMetrics {
@@ -189,7 +184,7 @@ mod tests {
         let cfg = ResparcConfig::resparc_64();
         assert_eq!(cfg.mca_capacity(), 4096);
         assert_eq!(cfg.mcas_per_nc(), 64);
-        assert_eq!(cfg.nc_capacity(), 262_144);
+        assert_eq!(cfg.mcas_per_nc() * cfg.mca_capacity(), 262_144);
     }
 
     #[test]

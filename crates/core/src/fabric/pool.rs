@@ -383,11 +383,6 @@ impl FabricPool {
         classes
     }
 
-    /// Whether the inventory mixes MCA size classes.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.nc_sizes.windows(2).any(|w| w[0] != w[1])
-    }
-
     /// The machine configuration for mapping a tenant onto class
     /// `mca_size` cells: [`config`](Self::config) with its `mca_size`
     /// swapped. Probes handed to [`admit_mapped`](Self::admit_mapped)
@@ -955,7 +950,7 @@ impl FabricPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::ResparcConfig;
 
@@ -965,14 +960,17 @@ mod tests {
 
     /// A topology occupying exactly `ncs` NeuroCells on RESPARC-64
     /// (verified by the tests that use it).
-    fn sized_topology(ncs: usize) -> Topology {
-        // Each extra 576-wide hidden layer adds ~21 mPEs; the measured
+    pub(crate) fn sized_topology(ncs: usize) -> Topology {
+        // Each extra 576-wide hidden layer adds ~21 mPEs, and one
+        // 784-input layer takes ~13 mPEs per 256 outputs; the measured
         // footprints below are asserted by the next test.
         match ncs {
             1 => Topology::mlp(144, &[576, 10]),
             2 => Topology::mlp(144, &[576, 576, 10]),
+            3 => Topology::mlp(784, &[800]),
             4 => Topology::mlp(144, &[576, 576, 576, 10]),
             5 => Topology::mlp(144, &[576, 576, 576, 576, 10]),
+            6 => Topology::mlp(784, &[1728]),
             other => panic!("no sized topology for {other} NCs"),
         }
     }
@@ -980,7 +978,7 @@ mod tests {
     #[test]
     fn sized_topologies_have_the_advertised_footprint() {
         let mapper = Mapper::new(ResparcConfig::resparc_64());
-        for ncs in [1usize, 2, 4, 5] {
+        for ncs in 1..=6 {
             let mapping = mapper.map(&sized_topology(ncs)).unwrap();
             assert_eq!(mapping.placement.ncs_used, ncs, "{ncs}-NC topology");
         }
@@ -1297,7 +1295,6 @@ mod tests {
     fn heterogeneous_runs_break_at_class_boundaries() {
         let mut pool =
             FabricPool::heterogeneous(ResparcConfig::resparc_64(), &[64, 64, 64, 32, 32, 64]);
-        assert!(pool.is_heterogeneous());
         assert_eq!(pool.size_classes(), vec![32, 64]);
         assert_eq!(pool.physical_ncs(), 6, "physical_ncs follows the inventory");
         assert_eq!(pool.free_ncs(), 6);
@@ -1315,8 +1312,11 @@ mod tests {
         assert_eq!(pool.largest_free_run_for(64), 1);
         assert_eq!(pool.max_admissible_run_for(64), 1);
         assert_eq!(pool.max_admissible_run_for(32), 2);
-        // A homogeneous pool is never heterogeneous.
-        assert!(!FabricPool::new(ResparcConfig::resparc_64()).is_heterogeneous());
+        // A homogeneous pool has one class.
+        assert_eq!(
+            FabricPool::new(ResparcConfig::resparc_64()).size_classes(),
+            [64]
+        );
     }
 
     #[test]
@@ -1327,7 +1327,6 @@ mod tests {
         // admission path probed a class the pool had zero cells of and
         // rejected everything.
         let mut pool = FabricPool::heterogeneous(ResparcConfig::resparc_64(), &[32, 32, 32, 32]);
-        assert!(!pool.is_heterogeneous());
         assert_eq!(pool.size_classes(), vec![32]);
         assert_eq!(
             pool.config().mca_size,

@@ -63,8 +63,8 @@ pub use fabric::{
 };
 pub use hw::{HwBuildError, HwCore};
 pub use map::{
-    BatchPlacement, BatchPlacer, LayerPartition, LayerReport, MapError, Mapper, Mapping,
-    MappingReport, PartitionOptions, Placement, PlacementRequest, PlacementStrategy, Tile,
+    BatchPlacement, LayerPartition, LayerReport, MapError, Mapper, Mapping, MappingReport,
+    PartitionOptions, Placement, PlacementRequest, PlacementStrategy, Tile,
 };
 pub use sim::event::{EventLayerStats, EventReport, EventSimulator, ReplayEngine, TraceReplay};
 pub use sim::plan::ReplayPlan;
@@ -80,8 +80,8 @@ pub mod prelude {
     };
     pub use crate::hw::{HwBuildError, HwCore};
     pub use crate::map::{
-        BatchPlacement, BatchPlacer, LayerPartition, LayerReport, MapError, Mapper, Mapping,
-        MappingReport, PartitionOptions, Placement, PlacementRequest, PlacementStrategy, Tile,
+        BatchPlacement, LayerPartition, LayerReport, MapError, Mapper, Mapping, MappingReport,
+        PartitionOptions, Placement, PlacementRequest, PlacementStrategy, Tile,
     };
     pub use crate::sim::event::{
         EventLayerStats, EventReport, EventSimulator, ReplayEngine, TraceReplay,

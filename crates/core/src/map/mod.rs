@@ -25,7 +25,7 @@ use resparc_neuro::network::Network;
 use resparc_neuro::topology::Topology;
 
 use crate::config::ResparcConfig;
-pub use optimize::{BatchPlacement, BatchPlacer, PlacementRequest, PlacementStrategy};
+pub use optimize::{BatchPlacement, PlacementRequest, PlacementStrategy};
 pub use partition::{LayerPartition, PartitionOptions, Tile, TileColumnDetail, TileDetail};
 pub use placement::{place, place_with_origin, LayerSpan, Placement};
 

@@ -2,18 +2,18 @@
 //!
 //! Greedy admission (the [`FabricPool`] entry points) places each
 //! tenant the moment it arrives, in arrival order, at whatever run the
-//! pool's [`PackingPolicy`](crate::fabric::PackingPolicy) picks. That
+//! pool's [`PackingPolicy`] picks. That
 //! is the *oracle*: simple, online, and the baseline every figure
 //! reports. But when a **batch** of requests is known up front, the
 //! admission order and — on a heterogeneous pool — each request's MCA
 //! size class are free variables, and first-fit over a fragmented pool
-//! is famously sensitive to both. [`BatchPlacer`] searches that space
-//! with deterministic simulated annealing over the existing
+//! is famously sensitive to both. [`PlacementStrategy::Optimized`]
+//! searches that space exactly, depth first, over the existing
 //! probe/[`can_admit_sized`](FabricPool::can_admit_sized)/
 //! [`admit_mapped`](FabricPool::admit_mapped) API — no external
 //! solver, no re-partitioning (every probe is mapped once per class,
 //! then only *translated*), and no wall-clock or entropy inputs, so a
-//! given `(pool, requests, seed)` always returns the same placement.
+//! given `(pool, requests)` always returns the same placement.
 //!
 //! # Cost model
 //!
@@ -29,26 +29,39 @@
 //!    free fragments ([`FabricPool::free_fragments`]) after the batch —
 //!    fewer, larger holes keep the pool admissible for future tenants.
 //!
-//! # Oracle contract
+//! # The search and the oracle contract
 //!
-//! [`PlacementStrategy::Greedy`] decodes the identity schedule —
-//! arrival order, preferred classes — and reproduces sequential
-//! [`FabricPool::admit`] exactly (unit-tested). The
-//! [`PlacementStrategy::Optimized`] search *starts* from that greedy
-//! incumbent and only ever replaces it with a strictly better
-//! placement, so on any batch:
+//! [`PlacementStrategy::Greedy`] is the plain sequential loop — arrival
+//! order, first class with room in preference order — and reproduces
+//! sequential [`FabricPool::admit`] exactly (unit-tested). It is also
+//! the first incumbent of [`PlacementStrategy::Optimized`], a depth-first
+//! search that tries every unplaced request that fits now, in request
+//! order, at every class with room, in preference order. A node where no
+//! unplaced request fits is a leaf. Every leaf is a layout some admission
+//! order × class rotation reaches, and a schedule's layout that is no
+//! leaf still has room for a request it skipped, so some leaf admits
+//! more; the search thus returns the best key over that space (tested
+//! against brute force in `tests/proptests.rs`).
 //!
-//! ```text
-//! optimized.admitted ≥ greedy.admitted
-//! ```
+//! Under `FirstFit` and `BestFit` a request with no room is dropped for
+//! its subtree, because an admission only shrinks the free runs, and a
+//! subtree is cut when its admitted plus remaining requests fall short
+//! of the incumbent's admits. Under [`Defragment`](PackingPolicy::Defragment)
+//! an admission can change how compaction packs a class of several
+//! healthy segments and so make room for a request that had none, so
+//! every unplaced request is probed again at every node and nothing is
+//! cut.
 //!
-//! and, at equal admits, bus trips and fragmentation are no worse —
-//! by construction, property-tested in `tests/proptests.rs`.
+//! **Tie-break:** only a strictly larger key replaces the incumbent, so
+//! ties keep the earliest schedule and greedy wins every tie: by
+//! construction, `optimized.admitted ≥ greedy.admitted`, with bus trips
+//! and fragmentation no worse at equal admits.
 
 use resparc_neuro::network::Network;
 use resparc_neuro::topology::Topology;
 
-use crate::fabric::{FabricPool, TenantId};
+use crate::fabric::pool::footprint;
+use crate::fabric::{FabricPool, PackingPolicy, TenantId};
 use crate::map::{MapError, Mapping, Placement};
 
 /// How a batch of admission requests is placed onto a [`FabricPool`].
@@ -59,9 +72,9 @@ pub enum PlacementStrategy {
     /// optimizer is measured against.
     #[default]
     Greedy,
-    /// Deterministic simulated annealing over admission order and
-    /// per-request size class, seeded with the greedy schedule and
-    /// keeping the best placement found — never worse than
+    /// Exact depth-first search over admission order and per-request
+    /// size class, starting from the greedy schedule and keeping the
+    /// first placement with the best key — never worse than
     /// [`Greedy`](Self::Greedy) on the cost model above.
     Optimized,
 }
@@ -143,12 +156,33 @@ pub struct BatchPlacement {
     pub bus_trips: usize,
     /// Maximal free fragments left in the pool (cost term 3).
     pub fragments: usize,
-    /// Candidate schedules evaluated (1 for greedy; search telemetry
-    /// for the optimizer).
+    /// Layouts scored: 1 for greedy; for the optimizer, the greedy
+    /// incumbent plus every leaf the search scored (its first leaf
+    /// repeats greedy's schedule unless an admission made room for a
+    /// request greedy skipped).
     pub evaluations: usize,
 }
 
 impl BatchPlacement {
+    /// Scores the layout `pool` holds after a schedule admitted
+    /// `admitted`: one evaluation.
+    fn scored(pool: FabricPool, admitted: Vec<Option<TenantId>>) -> Self {
+        let bus_trips = admitted
+            .iter()
+            .flatten()
+            .filter_map(|&id| pool.tenant(id))
+            .map(|t| bus_crossings(&t.mapping.placement))
+            .sum();
+        let fragments = pool.free_fragments();
+        Self {
+            pool,
+            admitted,
+            bus_trips,
+            fragments,
+            evaluations: 1,
+        }
+    }
+
     /// Requests admitted by the chosen schedule.
     pub fn admitted_count(&self) -> usize {
         self.admitted.iter().filter(|t| t.is_some()).count()
@@ -174,221 +208,142 @@ fn bus_crossings(placement: &Placement) -> usize {
         .count()
 }
 
-/// Weyl-sequence splitmix64 — the repo's deterministic RNG idiom (no
-/// `thread_rng`, no time seeds; the linter enforces this).
-const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(SPLITMIX64_GAMMA);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `[0, n)` (callers guarantee `n > 0`).
-fn draw(state: &mut u64, n: usize) -> usize {
-    (splitmix64(state) % n.max(1) as u64) as usize
-}
-
-/// A uniform draw in `[0, 1)`.
-fn draw_unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Places a batch of [`PlacementRequest`]s onto a pool snapshot under a
-/// [`PlacementStrategy`]; see the [module docs](self) for the cost
-/// model and the oracle contract.
-///
-/// # Examples
-///
-/// Optimized batch placement is never worse than greedy, and on a
-/// fragmented pool it can be strictly better:
-///
-/// ```
-/// use resparc_core::fabric::FabricPool;
-/// use resparc_core::map::{BatchPlacer, PlacementRequest, PlacementStrategy};
-/// use resparc_core::ResparcConfig;
-/// use resparc_neuro::topology::Topology;
-///
-/// let pool = FabricPool::new(ResparcConfig::resparc_64());
-/// let reqs: Vec<PlacementRequest> = (0..3)
-///     .map(|i| {
-///         PlacementRequest::from_topology(&pool, &Topology::mlp(144, &[576, 10]), &format!("t{i}"))
-///     })
-///     .collect::<Result<_, _>>()?;
-/// let greedy = BatchPlacer::new(PlacementStrategy::Greedy).place(&pool, &reqs);
-/// let optimized = BatchPlacer::new(PlacementStrategy::Optimized).place(&pool, &reqs);
-/// assert!(optimized.admitted_count() >= greedy.admitted_count());
-/// # Ok::<(), resparc_core::map::MapError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchPlacer {
-    strategy: PlacementStrategy,
-    seed: u64,
-    iterations: usize,
-}
-
-impl BatchPlacer {
-    /// Creates a placer with the default deterministic seed and search
-    /// budget (400 candidate schedules).
-    pub fn new(strategy: PlacementStrategy) -> Self {
-        Self {
-            strategy,
-            seed: 0x5EED_CAB5,
-            iterations: 400,
+impl PlacementStrategy {
+    /// Places `requests` onto a clone of `pool`, whose residents and
+    /// unhealthy cells stay fixed obstacles; see the [module docs](self).
+    /// Every admission goes through [`FabricPool::admit_mapped`] under
+    /// the pool's own packing policy, so every layout scored keeps the
+    /// pool's invariants (capacity, disjointness, health, size classes).
+    ///
+    /// # Cost
+    ///
+    /// `Greedy` scores one schedule; `Optimized` scores up to n!·Πclasses
+    /// leaves for n requests, one pool clone per search node, with no
+    /// budget or cut-off (no caller places more than four requests).
+    /// Worst cases, where nothing is cut, on n copies of a 1-NC MLP
+    /// (144-576-10, 2 NCs at MCA 32); release build, one pinned CPU of a
+    /// 2-vCPU VM, best of 2–5 calls, range over four runs:
+    ///
+    /// | n | 16×64 pool: n! leaves | time | 16×64 + 16×32 pool: n!·2ⁿ leaves | time |
+    /// |---|---|---|---|---|
+    /// | 4 | 24 | 0.08–0.11 ms | 384 | 0.7–1.2 ms |
+    /// | 5 | 120 | 0.4–0.6 ms | 3,840 | 8–14 ms |
+    /// | 6 | 720 | 2.9–4.5 ms | 46,080 | 118–205 ms |
+    /// | 7 | 5,040 | 22–40 ms | 645,120 | 1.8–2.4 s |
+    /// | 8 | 40,320 | 204–350 ms | 10,321,920 | 43 s (one run) |
+    ///
+    /// # Examples
+    ///
+    /// On an uncontended pool every schedule admits the whole batch, and
+    /// the search keeps greedy's layout:
+    ///
+    /// ```
+    /// use resparc_core::fabric::FabricPool;
+    /// use resparc_core::map::{PlacementRequest, PlacementStrategy};
+    /// use resparc_core::ResparcConfig;
+    /// use resparc_neuro::topology::Topology;
+    ///
+    /// let pool = FabricPool::new(ResparcConfig::resparc_64());
+    /// let mlp = Topology::mlp(144, &[576, 10]);
+    /// let reqs = vec![PlacementRequest::from_topology(&pool, &mlp, "t")?; 3];
+    /// let greedy = PlacementStrategy::Greedy.place(&pool, &reqs);
+    /// let optimized = PlacementStrategy::Optimized.place(&pool, &reqs);
+    /// assert_eq!(optimized.admitted_count(), 3);
+    /// assert_eq!(optimized.pool.occupancy(), greedy.pool.occupancy());
+    /// # Ok::<(), resparc_core::map::MapError>(())
+    /// ```
+    pub fn place(self, pool: &FabricPool, requests: &[PlacementRequest]) -> BatchPlacement {
+        let greedy = greedy(pool, requests);
+        if self == PlacementStrategy::Greedy {
+            return greedy;
         }
-    }
-
-    /// Sets the annealing seed (the search is deterministic per seed;
-    /// ignored by [`PlacementStrategy::Greedy`]).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the search budget in candidate schedules (ignored by
-    /// [`PlacementStrategy::Greedy`]).
-    pub fn with_iterations(mut self, iterations: usize) -> Self {
-        self.iterations = iterations;
-        self
-    }
-
-    /// The strategy this placer decodes with.
-    pub fn strategy(&self) -> PlacementStrategy {
-        self.strategy
-    }
-
-    /// Places `requests` onto a clone of `pool` (the input pool is
-    /// untouched — resident tenants and unhealthy cells are respected
-    /// as fixed obstacles). Admission inside the schedule goes through
-    /// [`FabricPool::admit_mapped`] under the pool's own
-    /// [`PackingPolicy`](crate::fabric::PackingPolicy), so every
-    /// invariant the pool enforces (capacity, disjointness, health,
-    /// size classes) holds for every candidate evaluated.
-    pub fn place(&self, pool: &FabricPool, requests: &[PlacementRequest]) -> BatchPlacement {
-        let n = requests.len();
-        let identity: Vec<usize> = (0..n).collect();
-        let no_shift = vec![0usize; n];
-        let mut best = decode(pool, requests, &identity, &no_shift);
-        best.evaluations = 1;
-        if self.strategy == PlacementStrategy::Greedy || n == 0 {
-            return best;
-        }
-
-        // Simulated annealing from the greedy incumbent. The *current*
-        // schedule walks (accepting some downhill moves early), but
-        // `best` only ever improves — the oracle contract.
-        let mut state = self.seed;
-        let mut cur_order = identity;
-        let mut cur_shift = no_shift;
-        let mut cur_key = best.key();
-        let mut best_key = cur_key;
-        let mut best_order = cur_order.clone();
-        let mut best_shift = cur_shift.clone();
-        let total = self.iterations.max(1);
-        for it in 0..total {
-            let mut order = cur_order.clone();
-            let mut shift = cur_shift.clone();
-            mutate(&mut state, &mut order, &mut shift, requests);
-            let cand = decode(pool, requests, &order, &shift);
-            let cand_key = cand.key();
-            if cand_key > best_key {
-                best_key = cand_key;
-                best_order = order.clone();
-                best_shift = shift.clone();
-            }
-            let accept = if cand_key >= cur_key {
-                true
-            } else {
-                // Downhill acceptance on a scalarised gap, cooling
-                // linearly: early on the walk escapes local packings,
-                // later it converges.
-                let gap = scalar(cur_key) - scalar(cand_key);
-                let temp = 2_000.0 * (1.0 - it as f64 / total as f64).max(1e-3);
-                draw_unit(&mut state) < (-gap / temp).exp()
-            };
-            if accept {
-                cur_order = order;
-                cur_shift = shift;
-                cur_key = cand_key;
-            }
-        }
-        let mut final_best = decode(pool, requests, &best_order, &best_shift);
-        final_best.evaluations = total + 2;
-        final_best
-    }
-}
-
-/// Scalarises a key for annealing acceptance (lexicographic weights).
-fn scalar(key: PlacementKey) -> f64 {
-    key.0 as f64 * 1e9 - key.1 .0 as f64 * 1e3 - key.2 .0 as f64
-}
-
-/// One random schedule mutation: transpose two admission positions or
-/// rotate one request's class preference.
-fn mutate(
-    state: &mut u64,
-    order: &mut [usize],
-    shift: &mut [usize],
-    requests: &[PlacementRequest],
-) {
-    let n = order.len();
-    let swap_move =
-        n > 1 && (splitmix64(state) & 1 == 0 || requests.iter().all(|r| r.probes.len() < 2));
-    if swap_move {
-        let i = draw(state, n);
-        let j = draw(state, n);
-        order.swap(i, j);
-    } else {
-        let k = draw(state, n);
-        let classes = requests[order[k]].probes.len();
-        if classes > 1 {
-            shift[order[k]] = (shift[order[k]] + 1 + draw(state, classes - 1)) % classes;
-        } else if n > 1 {
-            let j = draw(state, n);
-            order.swap(k, j);
+        let mut search = Search {
+            requests,
+            admitted: vec![None; requests.len()],
+            best: greedy,
+            leaves: 0,
+        };
+        search.visit(pool.clone(), &(0..requests.len()).collect::<Vec<_>>(), 0);
+        BatchPlacement {
+            evaluations: 1 + search.leaves,
+            ..search.best
         }
     }
 }
 
-/// Evaluates one schedule: sequential `admit_mapped` on a pool clone,
-/// requests in `order`, each trying its classes starting from
-/// `shift[r]` in preference rotation. The identity schedule *is*
-/// greedy admission.
-fn decode(
-    pool: &FabricPool,
-    requests: &[PlacementRequest],
-    order: &[usize],
-    shift: &[usize],
-) -> BatchPlacement {
+/// Whether `probe`'s class has room for it in `pool` right now.
+fn has_room(pool: &FabricPool, probe: &Mapping) -> bool {
+    let (needed, class) = footprint(probe);
+    pool.can_admit_sized(needed, class)
+}
+
+/// Sequential admission in arrival order, each request at its first
+/// class with room — [`FabricPool::admit`] per request.
+fn greedy(pool: &FabricPool, requests: &[PlacementRequest]) -> BatchPlacement {
     let mut pool = pool.clone();
-    let mut admitted: Vec<Option<TenantId>> = vec![None; requests.len()];
-    for &r in order {
-        let req = &requests[r];
-        let classes = req.probes.len();
-        for j in 0..classes {
-            let probe = &req.probes[(j + shift[r]) % classes];
-            let needed = probe.placement.ncs_used.max(1);
-            if pool.can_admit_sized(needed, probe.config.mca_size) {
-                admitted[r] = pool.admit_mapped(probe.clone(), &req.name).ok();
-                break;
-            }
-        }
-    }
-    let bus_trips = admitted
+    let admitted = requests
         .iter()
-        .flatten()
-        .filter_map(|&id| pool.tenant(id))
-        .map(|t| bus_crossings(&t.mapping.placement))
-        .sum();
-    let fragments = pool.free_fragments();
-    BatchPlacement {
-        pool,
-        admitted,
-        bus_trips,
-        fragments,
-        evaluations: 1,
+        .map(|req| {
+            let probe = req.probes.iter().find(|p| has_room(&pool, p))?;
+            pool.admit_mapped(probe.clone(), &req.name).ok()
+        })
+        .collect();
+    BatchPlacement::scored(pool, admitted)
+}
+
+/// The depth-first search: the requests, the admissions on the current
+/// path, the incumbent and the leaves scored so far.
+struct Search<'a> {
+    requests: &'a [PlacementRequest],
+    admitted: Vec<Option<TenantId>>,
+    best: BatchPlacement,
+    leaves: usize,
+}
+
+impl Search<'_> {
+    /// Searches below the node `pool`, where `placed` requests are
+    /// admitted and `open` lists the unplaced ones still in play.
+    fn visit(&mut self, pool: FabricPool, open: &[usize], placed: usize) {
+        let requests = self.requests;
+        let fits: Vec<(usize, Vec<&Mapping>)> = open
+            .iter()
+            .map(|&r| {
+                let probes = requests[r].probes.iter();
+                (r, probes.filter(|p| has_room(&pool, p)).collect::<Vec<_>>())
+            })
+            .filter(|(_, probes)| !probes.is_empty())
+            .collect();
+        // Only `Defragment` can make room for a request that had none (see
+        // the module docs), so only there does every open request stay.
+        let open: Vec<usize> = match pool.policy() {
+            PackingPolicy::Defragment => open.to_vec(),
+            PackingPolicy::FirstFit | PackingPolicy::BestFit => {
+                fits.iter().map(|&(r, _)| r).collect()
+            }
+        };
+        // `<`, not `≤`: a subtree that can only tie on admits may still
+        // win on bus trips or fragments.
+        if placed + open.len() < self.best.admitted_count() {
+            return;
+        }
+        if fits.is_empty() {
+            self.leaves += 1;
+            let leaf = BatchPlacement::scored(pool, self.admitted.clone());
+            // Strictly larger: ties keep the earliest schedule, greedy's.
+            if leaf.key() > self.best.key() {
+                self.best = leaf;
+            }
+            return;
+        }
+        for (r, probes) in fits {
+            let rest: Vec<usize> = open.iter().copied().filter(|&o| o != r).collect();
+            for probe in probes {
+                let mut child = pool.clone();
+                self.admitted[r] = child.admit_mapped(probe.clone(), &requests[r].name).ok();
+                self.visit(child, &rest, placed + 1);
+            }
+            self.admitted[r] = None;
+        }
     }
 }
 
@@ -396,33 +351,27 @@ fn decode(
 mod tests {
     use super::*;
     use crate::config::ResparcConfig;
-    use crate::fabric::PackingPolicy;
+    use crate::fabric::pool::tests::sized_topology;
 
-    /// `ncs` NeuroCells on RESPARC-64 (see `fabric::pool::tests`).
-    fn sized_topology(ncs: usize) -> Topology {
-        match ncs {
-            1 => Topology::mlp(144, &[576, 10]),
-            2 => Topology::mlp(144, &[576, 576, 10]),
-            4 => Topology::mlp(144, &[576, 576, 576, 10]),
-            5 => Topology::mlp(144, &[576, 576, 576, 576, 10]),
-            other => panic!("no sized topology for {other} NCs"),
-        }
+    /// One request per entry of `widths`, each a topology of that many
+    /// NeuroCells on RESPARC-64.
+    fn requests(pool: &FabricPool, widths: &[usize]) -> Vec<PlacementRequest> {
+        widths
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                PlacementRequest::from_topology(pool, &sized_topology(w), &format!("t{i}")).unwrap()
+            })
+            .collect()
     }
 
     #[test]
     fn greedy_strategy_reproduces_sequential_admission_exactly() {
         let base = FabricPool::new(ResparcConfig::resparc_64()).with_policy(PackingPolicy::BestFit);
         let widths = [2usize, 5, 1, 4, 2];
-        let reqs: Vec<PlacementRequest> = widths
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                PlacementRequest::from_topology(&base, &sized_topology(w), &format!("t{i}"))
-                    .unwrap()
-            })
-            .collect();
+        let reqs = requests(&base, &widths);
 
-        let batch = BatchPlacer::new(PlacementStrategy::Greedy).place(&base, &reqs);
+        let batch = PlacementStrategy::Greedy.place(&base, &reqs);
         assert_eq!(batch.evaluations, 1);
 
         let mut oracle = base.clone();
@@ -454,19 +403,14 @@ mod tests {
         base.evict(hole2);
         assert_eq!(base.largest_free_run(), 4);
 
-        let reqs: Vec<PlacementRequest> = [2usize, 4]
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                PlacementRequest::from_topology(&base, &sized_topology(w), &format!("b{i}"))
-                    .unwrap()
-            })
-            .collect();
-        let greedy = BatchPlacer::new(PlacementStrategy::Greedy).place(&base, &reqs);
+        let reqs = requests(&base, &[2, 4]);
+        let greedy = PlacementStrategy::Greedy.place(&base, &reqs);
         assert_eq!(greedy.admitted_count(), 1, "first-fit splits the 4-hole");
-        let optimized = BatchPlacer::new(PlacementStrategy::Optimized).place(&base, &reqs);
+        let optimized = PlacementStrategy::Optimized.place(&base, &reqs);
         assert_eq!(optimized.admitted_count(), 2, "reordering packs both");
-        assert!(optimized.evaluations > 1);
+        // `fig_packing`'s fragmented shape: the greedy incumbent plus one
+        // leaf per admission order.
+        assert_eq!(optimized.evaluations, 3);
     }
 
     #[test]
@@ -502,10 +446,13 @@ mod tests {
         );
         let reqs = vec![p, q, r];
 
-        let greedy = BatchPlacer::new(PlacementStrategy::Greedy).place(&base, &reqs);
+        let greedy = PlacementStrategy::Greedy.place(&base, &reqs);
         assert_eq!(greedy.admitted_count(), 2);
-        let optimized = BatchPlacer::new(PlacementStrategy::Optimized).place(&base, &reqs);
+        let optimized = PlacementStrategy::Optimized.place(&base, &reqs);
         assert_eq!(optimized.admitted_count(), 3);
+        // `fig_packing`'s mixed shape: greedy plus seven leaves. Once a
+        // leaf admits three, the cut skips the two leaves that admit two.
+        assert_eq!(optimized.evaluations, 8);
         // Every admitted tenant sits on cells of its own class.
         for id in optimized.admitted.iter().flatten() {
             let t = optimized.pool.tenant(*id).unwrap();
@@ -515,8 +462,54 @@ mod tests {
         }
     }
 
+    /// `fig_packing`'s uncontended shape: each of the 4! admission orders
+    /// admits all four requests, so nothing is cut (greedy plus 24
+    /// leaves), every leaf ties, and greedy's layout is kept. With the
+    /// other two shapes' counts, this catches a lost cut or a search that
+    /// revisits leaves.
     #[test]
-    fn placement_is_deterministic_per_seed() {
+    fn optimized_scores_every_order_and_keeps_greedy_on_a_tie() {
+        let base = FabricPool::new(ResparcConfig::resparc_64()).with_policy(PackingPolicy::BestFit);
+        let reqs = requests(&base, &[4, 2, 1, 2]);
+        let greedy = PlacementStrategy::Greedy.place(&base, &reqs);
+        let optimized = PlacementStrategy::Optimized.place(&base, &reqs);
+        assert_eq!(optimized.evaluations, 25);
+        assert_eq!(optimized.admitted, greedy.admitted);
+        assert_eq!(optimized.pool.occupancy(), greedy.pool.occupancy());
+    }
+
+    /// Under `Defragment` an admission can make room for a request that
+    /// had none. Two failed cells split one class into segments of 6, 7
+    /// and 11 NCs holding [free, A:1, free ×4], [b1:1, b2:4, free ×2] and
+    /// [c1:5, c2:3, c3:3]. Compaction leaves tails of 0, 2 and 5, so a
+    /// 6-NC request r has no room. A 1-NC request n best-fits cell 0;
+    /// then compaction sends b2 to the second segment, c2 to the first
+    /// and c3 to the second, the tails become 0, 0 and 6, and r fits.
+    #[test]
+    fn optimized_reprobes_requests_an_admission_makes_room_for() {
+        let mut base = FabricPool::heterogeneous(ResparcConfig::resparc_64(), &[64; 26]);
+        base.fail_nc(6);
+        base.fail_nc(14);
+        let residents: Vec<TenantId> = [1usize, 1, 4, 1, 4, 2, 5, 3, 3]
+            .iter()
+            .map(|&w| base.admit_topology(&sized_topology(w), "resident").unwrap())
+            .collect();
+        for k in [0, 2, 5] {
+            base.evict(residents[k]);
+        }
+        let base = base.with_policy(PackingPolicy::Defragment);
+        assert!(!base.can_admit_sized(6, 64));
+
+        let reqs = requests(&base, &[6, 1]);
+        let greedy = PlacementStrategy::Greedy.place(&base, &reqs);
+        assert_eq!(greedy.admitted_count(), 1, "r comes first");
+        assert!(greedy.pool.can_admit_sized(6, 64), "n made room");
+        let optimized = PlacementStrategy::Optimized.place(&base, &reqs);
+        assert_eq!(optimized.admitted_count(), 2);
+    }
+
+    #[test]
+    fn placement_is_deterministic() {
         let base = FabricPool::new(ResparcConfig::resparc_64());
         let reqs: Vec<PlacementRequest> = [2usize, 5, 4, 2, 1]
             .iter()
@@ -526,12 +519,8 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let a = BatchPlacer::new(PlacementStrategy::Optimized)
-            .with_seed(7)
-            .place(&base, &reqs);
-        let b = BatchPlacer::new(PlacementStrategy::Optimized)
-            .with_seed(7)
-            .place(&base, &reqs);
+        let a = PlacementStrategy::Optimized.place(&base, &reqs);
+        let b = PlacementStrategy::Optimized.place(&base, &reqs);
         assert_eq!(a.pool.occupancy(), b.pool.occupancy());
         assert_eq!(a.admitted, b.admitted);
         assert_eq!((a.bus_trips, a.fragments), (b.bus_trips, b.fragments));

@@ -304,6 +304,8 @@ impl CompiledLayer {
                     group[held] = i;
                     held += 1;
                     if held == group.len() {
+                        #[cfg(test)]
+                        tests::PASSES.with(|p| p.set(p.get() + 1));
                         let [a, b, c, d] = group.map(row);
                         let rows = currents.iter_mut().zip(a).zip(b).zip(c).zip(d);
                         for ((((cur, &wa), &wb), &wc), &wd) in rows {
@@ -314,6 +316,8 @@ impl CompiledLayer {
                     events += n as u64;
                 }
                 for &i in &group[..held] {
+                    #[cfg(test)]
+                    tests::PASSES.with(|p| p.set(p.get() + 1));
                     for (cur, &wv) in currents.iter_mut().zip(row(i)) {
                         *cur += wv;
                     }
@@ -556,7 +560,15 @@ impl CompiledNetwork {
 mod tests {
     use super::*;
     use crate::network::Network;
+    use crate::spike::SpikeVector;
     use crate::topology::{ChannelTable, Padding, Shape, Topology};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Passes over the currents by `accumulate_spikes`'s dense branch
+        /// on this thread (each test runs on its own thread).
+        pub(super) static PASSES: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn conv_net(seed: u64) -> Network {
         let t = Topology::builder(Shape::new(10, 10, 1))
@@ -595,6 +607,26 @@ mod tests {
             for i in 0..7 {
                 assert_eq!(fwd[o * 7 + i], bwd[i * 5 + o]);
             }
+        }
+    }
+
+    /// A dense layer adds four active inputs' rows per pass over its
+    /// currents and each of the 0–3 left over in a pass of its own:
+    /// ⌊k/4⌋ + k mod 4 passes for k active inputs, where a kernel that
+    /// adds one row per pass makes k. A count, so unlike the `snn_step`
+    /// timing gate it does not depend on the machine's load.
+    #[test]
+    fn dense_accumulation_adds_four_rows_per_pass() {
+        let kernels = CompiledNetwork::compile(&Network::random(Topology::mlp(40, &[6]), 5, 1.0));
+        for k in [0usize, 1, 3, 4, 5, 8, 11, 13] {
+            let active: Vec<bool> = (0..40).map(|i| i % 3 == 0 && i / 3 < k).collect();
+            let spikes = SpikeVector::from_bools(&active);
+            PASSES.with(|p| p.set(0));
+            let events = kernels
+                .layer(0)
+                .accumulate_spikes(spikes.view(), &mut [0.0; 6]);
+            assert_eq!(events, 6 * k as u64);
+            assert_eq!(PASSES.with(Cell::get), (k / 4 + k % 4) as u64, "k = {k}");
         }
     }
 

@@ -17,7 +17,8 @@
 //!   (admit / queue / evict mid-stream, any packing policy) against the
 //!   static co-resident batching baseline, on identical spike traces,
 //! * [`packing`] — batch placement quality: the same admission batch
-//!   placed by greedy first-fit and by the optimizing `BatchPlacer`
+//!   placed by greedy first-fit and by the exact placement search
+//!   (`PlacementStrategy::Optimized`; ties keep greedy's schedule)
 //!   across fabric shapes (fragmented, heterogeneous MCA inventories),
 //!   metered for admits, utilization and energy per inference,
 //! * [`fault`] — resilience workloads: device-fault grids (stuck-at

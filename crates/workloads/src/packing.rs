@@ -1,5 +1,5 @@
-//! Batch placement quality: greedy admission vs the optimizing placer
-//! across fabric shapes.
+//! Batch placement quality: greedy admission vs the exact placement
+//! search across fabric shapes.
 //!
 //! [`churn_sweep`](crate::churn::churn_sweep) measured *when* tenants
 //! run; [`packing_sweep`] measures *where* they land. Each
@@ -9,11 +9,11 @@
 //! evicted to punch holes — and a batch of admission requests. The
 //! sweep places the identical batch twice, with
 //! [`PlacementStrategy::Greedy`] (sequential [`FabricPool::admit`],
-//! the oracle) and [`PlacementStrategy::Optimized`] (the
-//! [`BatchPlacer`] search over admission order and size class), then
-//! meters both layouts the same way every tenancy figure does: one
-//! shared replay round of the admitted tenants, dynamic per-event
-//! energy plus whole-pool leakage over the round's makespan.
+//! the oracle) and [`PlacementStrategy::Optimized`] (the exact search
+//! over admission order and size class, keeping greedy's layout on
+//! ties), then meters both layouts the same way every tenancy figure
+//! does: one shared replay round of the admitted tenants, dynamic
+//! per-event energy plus whole-pool leakage over the round's makespan.
 //!
 //! The report is the substance behind `fig_packing` and the CI packing
 //! gate: admitted tenants, fabric utilization, bus trips,
@@ -25,7 +25,7 @@
 use resparc_core::fabric::{
     pool_leakage_power, AdmitError, FabricPool, PackingPolicy, SharedEventSimulator, TenantId,
 };
-use resparc_core::map::{BatchPlacer, PlacementRequest, PlacementStrategy};
+use resparc_core::map::{PlacementRequest, PlacementStrategy};
 use resparc_core::ResparcConfig;
 use resparc_energy::units::{Energy, Time};
 use resparc_neuro::network::{Network, SnnRunner};
@@ -85,7 +85,7 @@ pub struct PackingRow {
     pub requests: usize,
     /// The greedy oracle's layout.
     pub greedy: PackingOutcome,
-    /// The [`BatchPlacer`] search's layout.
+    /// The exact search's layout.
     pub optimized: PackingOutcome,
 }
 
@@ -204,8 +204,10 @@ pub fn packing_scenario() -> (Vec<Network>, Vec<PackingShape>) {
 /// encoded once under `cfg` with seed [`SweepConfig::sample_seed`], so
 /// a net admitted under both strategies (or in several shapes) replays
 /// the identical spikes — any energy difference between layouts is
-/// placement, not stimulus. `seed` drives the optimizer's annealing
-/// (deterministic per seed).
+/// placement, not stimulus. The optimized layout is the exact search's
+/// best (admitted, bus trips, fragments) key over every admission order
+/// and size class; on a tie it is greedy's own layout, so the report
+/// depends on its inputs only.
 ///
 /// # Errors
 ///
@@ -222,7 +224,6 @@ pub fn packing_sweep(
     samples: &[Vec<f32>],
     cfg: &SweepConfig,
     base: &ResparcConfig,
-    seed: u64,
 ) -> Result<PackingReport, AdmitError> {
     assert!(!nets.is_empty(), "need at least one network");
     assert!(!samples.is_empty(), "need at least one sample");
@@ -283,7 +284,6 @@ pub fn packing_sweep(
 
         let greedy = place_and_meter(
             PlacementStrategy::Greedy,
-            seed,
             &pool,
             &requests,
             &shape.batch,
@@ -291,7 +291,6 @@ pub fn packing_sweep(
         );
         let optimized = place_and_meter(
             PlacementStrategy::Optimized,
-            seed,
             &pool,
             &requests,
             &shape.batch,
@@ -311,15 +310,12 @@ pub fn packing_sweep(
 /// single shared replay round of the admitted tenants.
 fn place_and_meter(
     strategy: PlacementStrategy,
-    seed: u64,
     pool: &FabricPool,
     requests: &[PlacementRequest],
     batch: &[usize],
     traces: &[SpikeTrace],
 ) -> PackingOutcome {
-    let placed = BatchPlacer::new(strategy)
-        .with_seed(seed)
-        .place(pool, requests);
+    let placed = strategy.place(pool, requests);
     let occupied = placed
         .pool
         .occupancy()
@@ -379,7 +375,6 @@ mod tests {
             &samples(),
             &SweepConfig::rate(8, 0.7, 13),
             &ResparcConfig::resparc_64(),
-            0xACE5,
         )
         .expect("scenario maps on every shape")
     }

@@ -230,7 +230,7 @@ fn defragmenting_admission_succeeds_where_first_fit_exhausts() {
 #[test]
 fn optimized_placement_and_defragmentation_replay_bit_identically() {
     // The acceptance criterion for the optimizing placer: *where* a
-    // tenant lands — greedy first-fit, the annealing search's class
+    // tenant lands — greedy first-fit, the exact search's class
     // diversion, or a post-defragment translation — must be invisible
     // to replay. Same network, same trace, byte-identical ledgers.
     //
@@ -260,8 +260,8 @@ fn optimized_placement_and_defragmentation_replay_bit_identically() {
         .enumerate()
         .map(|(k, net)| PlacementRequest::from_network(&pool, net, &format!("t{k}")).unwrap())
         .collect();
-    let greedy = BatchPlacer::new(PlacementStrategy::Greedy).place(&pool, &requests);
-    let optimized = BatchPlacer::new(PlacementStrategy::Optimized).place(&pool, &requests);
+    let greedy = PlacementStrategy::Greedy.place(&pool, &requests);
+    let optimized = PlacementStrategy::Optimized.place(&pool, &requests);
     assert_eq!(
         greedy.admitted_count(),
         2,

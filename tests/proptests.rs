@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use resparc_suite::prelude::*;
+use std::cmp::Reverse;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -1307,45 +1308,15 @@ proptest! {
         prefix in proptest::collection::vec(
             (1usize..4, proptest::prelude::any::<bool>()), 0..5),
         batch_layers in proptest::collection::vec(1usize..4, 1..5),
-        seed in 0u64..1_000,
     ) {
         use resparc_suite::resparc_core::fabric::{FabricPool, NcHealth};
 
-        let sized = |layers: usize| {
-            let mut hidden = vec![576usize; layers];
-            hidden.push(10);
-            Topology::mlp(144, &hidden)
-        };
-        let mut pool = FabricPool::heterogeneous(ResparcConfig::resparc_64(), &nc_sizes);
-        // One churn prefix, shared by both strategies: admit what
-        // fits, then evict the flagged subset to carve holes.
-        let mut evictions = Vec::new();
-        for (k, &(layers, keep)) in prefix.iter().enumerate() {
-            if let Ok(id) = pool.admit_topology(&sized(layers), &format!("r{k}")) {
-                if !keep {
-                    evictions.push(id);
-                }
-            }
-        }
-        for id in evictions {
-            pool.evict(id);
-        }
+        // One churn prefix, shared by both strategies.
+        let pool = FabricPool::heterogeneous(ResparcConfig::resparc_64(), &nc_sizes);
+        let (pool, requests) = churned_batch(pool, &prefix, &batch_layers);
 
-        let requests: Vec<PlacementRequest> = batch_layers
-            .iter()
-            .enumerate()
-            .filter_map(|(k, &layers)| {
-                PlacementRequest::from_topology(&pool, &sized(layers), &format!("b{k}")).ok()
-            })
-            .collect();
-
-        let greedy = BatchPlacer::new(PlacementStrategy::Greedy)
-            .with_seed(seed)
-            .place(&pool, &requests);
-        let optimized = BatchPlacer::new(PlacementStrategy::Optimized)
-            .with_seed(seed)
-            .with_iterations(60)
-            .place(&pool, &requests);
+        let greedy = PlacementStrategy::Greedy.place(&pool, &requests);
+        let optimized = PlacementStrategy::Optimized.place(&pool, &requests);
 
         // Oracle contract: the search never loses to its greedy seed.
         prop_assert!(
@@ -1376,6 +1347,46 @@ proptest! {
             }
             prop_assert_eq!(owned, placed.occupied_ncs());
         }
+    }
+}
+
+proptest! {
+    // Brute force admits each batch n!·Πclasses times over, so this
+    // block draws fewer cases than the replay contract below.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Optimized` placement is exact: its (admitted, bus trips,
+    /// fragments) key is the best over every admission order × class
+    /// rotation, enumerated through the public probe/admit API, for up
+    /// to five requests under every packing policy. Inventories are
+    /// block-shaped, all 64-cells then all 32-cells as in `fig_packing`'s
+    /// mixed shape; about half lose one cell, which can split a class into
+    /// two segments, and a churn prefix punches holes first.
+    #[test]
+    fn optimized_placement_matches_brute_force_enumeration(
+        cells in (2usize..7, 2usize..5),
+        dead in 0usize..14,
+        policy in prop_oneof![
+            Just(PackingPolicy::FirstFit),
+            Just(PackingPolicy::BestFit),
+            Just(PackingPolicy::Defragment),
+        ],
+        prefix in proptest::collection::vec((1usize..4, any::<bool>()), 0..5),
+        batch_layers in proptest::collection::vec(1usize..4, 1..6),
+    ) {
+        let mut nc_sizes = vec![64usize; cells.0];
+        nc_sizes.resize(cells.0 + cells.1, 32);
+        let mut pool = FabricPool::heterogeneous(ResparcConfig::resparc_64(), &nc_sizes)
+            .with_policy(policy);
+        if dead < nc_sizes.len() {
+            pool.fail_nc(dead);
+        }
+        let (pool, requests) = churned_batch(pool, &prefix, &batch_layers);
+
+        let placed = PlacementStrategy::Optimized.place(&pool, &requests);
+        let key = (placed.admitted_count(), Reverse(placed.bus_trips), Reverse(placed.fragments));
+        let every = (0..requests.len()).collect::<Vec<_>>();
+        prop_assert_eq!(key, brute_force_placement_key(&pool, &requests, &every, &[]));
     }
 }
 
@@ -1543,4 +1554,86 @@ fn edge_weight(code: u64) -> f32 {
         2 => 1e30,
         _ => (body % 1_000_000) as f32 / 1e6 * 10f32.powi((body % 7) as i32 - 3),
     }
+}
+
+/// An MLP of `layers` 576-wide hidden layers on 144 inputs: 1, 2 and 4
+/// NeuroCells on RESPARC-64 for 1, 2 and 3 layers.
+fn sized_mlp(layers: usize) -> Topology {
+    let mut hidden = vec![576usize; layers];
+    hidden.push(10);
+    Topology::mlp(144, &hidden)
+}
+
+/// `pool` after a churn prefix, which admits each entry's `sized_mlp`
+/// that fits and then evicts those flagged `false` to carve holes, plus
+/// a request for each batch entry that some class of the pool can map.
+fn churned_batch(
+    mut pool: FabricPool,
+    prefix: &[(usize, bool)],
+    batch_layers: &[usize],
+) -> (FabricPool, Vec<PlacementRequest>) {
+    let evictions: Vec<TenantId> = prefix
+        .iter()
+        .enumerate()
+        .filter_map(|(k, &(layers, keep))| {
+            let id = pool
+                .admit_topology(&sized_mlp(layers), &format!("r{k}"))
+                .ok()?;
+            (!keep).then_some(id)
+        })
+        .collect();
+    for id in evictions {
+        pool.evict(id);
+    }
+    let requests = batch_layers
+        .iter()
+        .enumerate()
+        .filter_map(|(k, &layers)| {
+            PlacementRequest::from_topology(&pool, &sized_mlp(layers), &format!("b{k}")).ok()
+        })
+        .collect();
+    (pool, requests)
+}
+
+/// The best (admitted, bus trips, fragments) key, bigger is better, over
+/// every admission order × class rotation of the requests `left` on
+/// `pool`, where `ids` holds the batch tenants admitted so far. A
+/// schedule admits the requests in its order, each at the first class
+/// with room from its rotation on.
+fn brute_force_placement_key(
+    pool: &FabricPool,
+    requests: &[PlacementRequest],
+    left: &[usize],
+    ids: &[TenantId],
+) -> (usize, Reverse<usize>, Reverse<usize>) {
+    if left.is_empty() {
+        let bus_trips = ids
+            .iter()
+            .map(|&id| {
+                let p = &pool.tenant(id).unwrap().mapping.placement;
+                (0..p.layers.len())
+                    .filter(|&l| p.boundary_crosses_nc(l))
+                    .count()
+            })
+            .sum();
+        return (
+            ids.len(),
+            Reverse(bus_trips),
+            Reverse(pool.free_fragments()),
+        );
+    }
+    let mut best = (0, Reverse(usize::MAX), Reverse(usize::MAX));
+    for (k, &r) in left.iter().enumerate() {
+        let rest = [&left[..k], &left[k + 1..]].concat();
+        let probes = requests[r].probes();
+        for shift in 0..probes.len() {
+            let (mut placed, mut ids) = (pool.clone(), ids.to_vec());
+            let fit = (0..probes.len())
+                .map(|j| &probes[(shift + j) % probes.len()])
+                .find(|p| placed.can_admit_sized(p.placement.ncs_used.max(1), p.config.mca_size));
+            ids.extend(fit.map(|p| placed.admit_mapped(p.clone(), &requests[r].name).unwrap()));
+            best = best.max(brute_force_placement_key(&placed, requests, &rest, &ids));
+        }
+    }
+    best
 }

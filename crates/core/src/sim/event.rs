@@ -71,20 +71,30 @@
 //!   [`Mapping`]): each window is pre-lowered to word/mask operations on
 //!   the trace's packed words, so counting a window is an AND + popcount
 //!   (or two shifted words for contiguous runs) instead of up to
-//!   `packet_bits` bit probes. Its cost follows spikes: for each step it
-//!   visits only the windows the plan's inverse index lists under a
-//!   non-zero input word, counting each once (a per-step stamp), and
-//!   charges a delivered window to its tile through the plan's owner
-//!   table, reading each tile at most once per step. Every window it
-//!   does not visit counts zero, so the walk tallies those in closed
-//!   form: each tile has `steps × windows` candidates, a step skips the
-//!   reads of every tile it did not read, and with event-driven
-//!   operation off every window is delivered and every tile reads.
+//!   `packet_bits` bit probes. It counts once per **tile class** (a run of
+//!   consecutive tiles with identical rows, one per fan-in chunk under
+//!   dense grid tiling), since every tile of a class sees the same counts.
+//!   Its cost follows spikes: a step with no input packet skips the walk,
+//!   and any other step visits only the windows the plan's inverse index
+//!   lists under a non-zero input word, counting each once (a per-step
+//!   stamp). A delivered window is charged to its class through the
+//!   plan's class table, and each class reads at most once per step; the
+//!   step's delivered and read counts are weighted by class size, so they
+//!   are the per-tile counts. Every window it does not visit counts zero,
+//!   so the walk tallies those in closed form: each tile has
+//!   `steps × windows` candidates, a step skips the reads of every class
+//!   it did not read, and with event-driven operation off every window
+//!   is delivered and every tile reads, silent steps included. A class is
+//!   expanded to its tiles only where the crossbar loop prices them.
 //!
 //! Both engines feed the *identical* accounting body with the integer
-//! tallies they derive, and the body's per-step shortcuts are exact: a
-//! silent input step moves no bus packet, a silent output step emits no
-//! packet, and a tile that never read is not priced (it would add +0.0).
+//! tallies they derive (the reference engine's classes hold one tile
+//! each), and the body's per-step shortcuts are exact: a silent input
+//! step moves no bus packet, a silent output step emits no packet, and a
+//! tile that never read is not priced (it would add +0.0). Each
+//! boundary's non-zero packets are counted once per step and serve both
+//! the bus traffic of the layer it feeds and the tBUFF lookups of the
+//! layer that emits it.
 //! Since every count is an integer and the f64 charges keep their order,
 //! the two engines produce **bit-identical** [`EventReport`]s (and,
 //! through the shared/fault/serving layers built on
@@ -98,7 +108,7 @@ use resparc_device::energy_model::McaEnergyModel;
 use resparc_energy::accounting::{Category, EnergyBreakdown};
 use resparc_energy::sram::SramSpec;
 use resparc_energy::units::{Energy, Time};
-use resparc_neuro::spike::SpikeView;
+use resparc_neuro::spike::{SpikeRaster, SpikeView};
 use resparc_neuro::trace::SpikeTrace;
 
 use crate::map::Mapping;
@@ -179,10 +189,10 @@ impl EventReport {
 
 /// Event tallies of one layer over the whole trace.
 ///
-/// Conservation invariant (property-tested): every candidate packet
-/// belongs to exactly one tile, so
-/// `per_tile_candidates.iter().sum() == candidate_packets` and
-/// `candidate_packets == steps × Σ_tiles ceil(rows / packet_bits)`.
+/// Conservation invariant (property-tested): every candidate packet is a
+/// window of exactly one tile, so
+/// `candidate_packets == steps × Σ_tiles ceil(rows / packet_bits)` and
+/// `packets_delivered ≤ candidate_packets`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventLayerStats {
     /// Layer index.
@@ -194,11 +204,6 @@ pub struct EventLayerStats {
     /// Packet windows actually delivered (non-zero, or all of them with
     /// event-driven operation disabled).
     pub packets_delivered: u64,
-    /// Candidate packet windows per tile (parallel to the partition's
-    /// tiles).
-    pub per_tile_candidates: Vec<u64>,
-    /// Delivered packet windows per tile.
-    pub per_tile_delivered: Vec<u64>,
     /// Crossbar reads performed.
     pub reads_performed: u64,
     /// Crossbar reads skipped by the zero-check (whole input window
@@ -425,15 +430,15 @@ fn scan_tile_reference(
 }
 
 /// Plan engine's walk over one layer: per step, only the windows the
-/// inverse index lists under a non-zero input word. Each window and each
-/// tile keeps the last step (plus one) that reached it, so a step counts
-/// a window once however many of its words spike, and reads a tile once
-/// however many of its windows are delivered.
+/// inverse index lists under a non-zero input word, once per tile class.
+/// Each window and each class keeps the last step (plus one) that reached
+/// it, so a step counts a window once however many of its words spike,
+/// and reads a class once however many of its windows are delivered.
 struct PlanWalk<'p> {
     plan: &'p LayerPlan,
     event_driven: bool,
     window_seen: Vec<usize>,
-    tile_seen: Vec<usize>,
+    class_seen: Vec<usize>,
 }
 
 impl<'p> PlanWalk<'p> {
@@ -442,25 +447,30 @@ impl<'p> PlanWalk<'p> {
             plan,
             event_driven,
             window_seen: vec![0; plan.windows().len()],
-            tile_seen: vec![0; plan.tile_count()],
+            class_seen: vec![0; plan.class_count()],
         }
     }
 
-    /// Counts step `t`'s windows against its input `words`, adds each
-    /// non-zero window's active rows to its tile and, when event-driven,
-    /// delivers it and reads its tile. Returns the step's
-    /// `(delivered windows, tile reads)`; with event-driven operation off
-    /// that is every window and every tile, and the caller tallies the
-    /// per-tile deliveries and reads in closed form.
+    /// Counts step `t`'s windows against its input `words` (none when
+    /// the step is `silent`), adds each non-zero window's active rows to
+    /// its class and, when event-driven, delivers it and reads its class.
+    /// Returns the step's `(delivered windows, tile reads)`, each class
+    /// counting once per tile; with event-driven operation off that is
+    /// every window and every tile, and the caller tallies the per-class
+    /// reads in closed form.
     fn step(
         &mut self,
         t: usize,
         words: &[u64],
-        delivered: &mut [u64],
+        silent: bool,
         reads: &mut [u64],
         active_rows: &mut [u64],
     ) -> (u64, u64) {
         let lp = self.plan;
+        let undriven = (lp.tile_window_count(), lp.tile_count() as u64);
+        if silent {
+            return if self.event_driven { (0, 0) } else { undriven };
+        }
         let stamp = t + 1;
         let (mut delivered_step, mut reads_step) = (0u64, 0u64);
         for (w, _) in words.iter().enumerate().filter(|&(_, &bits)| bits != 0) {
@@ -470,19 +480,21 @@ impl<'p> PlanWalk<'p> {
                     continue;
                 }
                 self.window_seen[wi] = stamp;
+                #[cfg(test)]
+                tests::EVALUATIONS.with(|e| e.set(e.get() + 1));
                 let active = lp.windows()[wi].count(words, lp.masks());
                 if active == 0 {
                     continue;
                 }
-                let ti = lp.owner(wi);
-                active_rows[ti] += active;
+                let c = lp.owner(wi);
+                active_rows[c] += active;
                 if self.event_driven {
-                    delivered[ti] += 1;
-                    delivered_step += 1;
-                    if self.tile_seen[ti] != stamp {
-                        self.tile_seen[ti] = stamp;
-                        reads[ti] += 1;
-                        reads_step += 1;
+                    let size = lp.class_size(c);
+                    delivered_step += size;
+                    if self.class_seen[c] != stamp {
+                        self.class_seen[c] = stamp;
+                        reads[c] += 1;
+                        reads_step += size;
                     }
                 }
             }
@@ -490,7 +502,7 @@ impl<'p> PlanWalk<'p> {
         if self.event_driven {
             (delivered_step, reads_step)
         } else {
-            (lp.windows().len() as u64, lp.tile_count() as u64)
+            undriven
         }
     }
 }
@@ -525,6 +537,8 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
     let mut comm_cycles = vec![0u64; steps];
     let mut bus_cycles = vec![0u64; steps];
     let mut compute_cycles = vec![0u64; steps];
+    // Non-zero packets per step at the boundary feeding layer `l`.
+    let mut in_packets = boundary_packets(trace.boundary(0), pkt);
 
     for (l, part) in mapping.partitions.iter().enumerate() {
         let layer_plan = plan.as_deref().map(|p| p.layer(l));
@@ -535,20 +549,31 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
         let span = &mapping.placement.layers[l];
         let mag = mapping.mean_weight_mags[l];
         let in_raster = trace.boundary(l);
-        let out_raster = trace.boundary(l + 1);
+        let out_packets = boundary_packets(trace.boundary(l + 1), pkt);
         let switch_capacity = (cfg.switches_per_nc() * span.nc_count().max(1)) as f64;
         let crosses = mapping.placement.boundary_crosses_nc(l) && (l == 0 || part.max_degree > 1);
 
         let layer_compute = part.max_degree as u64 + u64::from(span.ccu_transfers_per_step > 0);
         let tiles = part.tile_count();
-        let mut per_tile_candidates = vec![0u64; tiles];
-        let mut per_tile_delivered = vec![0u64; tiles];
-        let mut per_tile_reads = vec![0u64; tiles];
-        let mut per_tile_active_rows = vec![0u64; tiles];
+        // Crossbar tallies per tile class: class `c` is tiles
+        // `class_tiles[c]..class_tiles[c + 1]`, each of which read
+        // `class_reads[c]` times and saw `class_active_rows[c]` spiking
+        // rows. The reference engine's classes hold one tile each.
+        let singletons: Vec<u32>;
+        let class_tiles = match layer_plan {
+            Some(lp) => lp.class_tiles(),
+            None => {
+                singletons = (0..=tiles as u32).collect();
+                &singletons
+            }
+        };
+        let mut class_reads = vec![0u64; class_tiles.len() - 1];
+        let mut class_active_rows = class_reads.clone();
+        let mut candidates = 0u64;
+        let mut delivered = 0u64;
         let mut reads_performed = 0u64;
         let mut reads_skipped = 0u64;
         let mut bus_packets_total = 0u64;
-        let mut out_packets_delivered = 0u64;
         let mut plan_walk = layer_plan.map(|lp| PlanWalk::new(lp, cfg.event_driven));
 
         for (t, in_spikes) in in_raster.iter().enumerate() {
@@ -556,26 +581,26 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
                 Some(walk) => walk.step(
                     t,
                     in_spikes.words(),
-                    &mut per_tile_delivered,
-                    &mut per_tile_reads,
-                    &mut per_tile_active_rows,
+                    in_packets[t] == 0,
+                    &mut class_reads,
+                    &mut class_active_rows,
                 ),
                 None => {
                     let (mut deliveries_step, mut reads_step) = (0u64, 0u64);
                     for (ti, rows) in part.tile_rows.iter().enumerate() {
                         let scan = scan_tile_reference(rows, pkt, in_spikes, cfg.event_driven);
-                        per_tile_candidates[ti] += scan.windows;
-                        per_tile_delivered[ti] += scan.delivered;
+                        candidates += scan.windows;
                         deliveries_step += scan.delivered;
                         if scan.active > 0 || !cfg.event_driven {
-                            per_tile_reads[ti] += 1;
-                            per_tile_active_rows[ti] += scan.active;
+                            class_reads[ti] += 1;
+                            class_active_rows[ti] += scan.active;
                             reads_step += 1;
                         }
                     }
                     (deliveries_step, reads_step)
                 }
             };
+            delivered += deliveries_step;
             reads_performed += reads_step;
             reads_skipped += tiles as u64 - reads_step;
             comm_cycles[t] =
@@ -587,14 +612,10 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
             // --- Bus + input SRAM (inter-NC boundary) ---------------
             if crosses {
                 let windows = (part.inputs as usize).div_ceil(pkt) as u64;
-                let moved = if !cfg.event_driven {
-                    windows
-                } else if in_spikes.is_silent() {
-                    0
+                let moved = if cfg.event_driven {
+                    in_packets[t]
                 } else {
-                    (0..windows as usize)
-                        .filter(|&w| !in_spikes.window_is_zero(w * pkt, pkt))
-                        .count() as u64
+                    windows
                 };
                 let trips = if l == 0 { 1u64 } else { 2 };
                 energy.charge(
@@ -619,29 +640,19 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
                 bus_packets_total += moved;
                 bus_cycles[t] += moved * trips;
             }
-
-            // --- tBUFF target lookups for emitted spike packets -----
-            out_packets_delivered += delivered_windows(out_raster.step(t), pkt);
         }
 
         // The plan walk never visits a window no spike reaches: every
         // window is a candidate each step, and with event-driven
-        // operation off every window is delivered and every tile reads.
+        // operation off every tile reads every step.
         if let Some(lp) = layer_plan {
-            let steps = steps as u64;
-            for ti in 0..tiles {
-                let windows = lp.tile_windows(ti).len() as u64;
-                per_tile_candidates[ti] = steps * windows;
-                if !cfg.event_driven {
-                    per_tile_delivered[ti] = steps * windows;
-                    per_tile_reads[ti] = steps;
-                }
+            candidates = steps as u64 * lp.tile_window_count();
+            if !cfg.event_driven {
+                class_reads.fill(steps as u64);
             }
         }
 
         // --- Spike distribution (switch network + buffers) ----------
-        let candidates: u64 = per_tile_candidates.iter().sum();
-        let delivered: u64 = per_tile_delivered.iter().sum();
         energy.charge(
             Category::Communication,
             cat.switch_hop(cfg.packet_bits) * (delivered as f64 * AVG_SWITCH_HOPS),
@@ -660,25 +671,43 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
         );
 
         // --- Crossbar reads + neuron integration --------------------
+        // A class that never read has no active rows, and each of its
+        // tiles would add +0.0, so only reading classes are priced: tile
+        // by tile, in tile order. Within a layer a tile's read cost
+        // depends only on its synapse count.
         let mut crossbar_e = Energy::ZERO;
         let mut integrations = 0u64;
-        for (ti, tile) in part.tiles.iter().enumerate() {
-            // A tile that never reads has no active rows and would add
-            // +0.0, so only reading tiles are priced.
-            if per_tile_reads[ti] > 0 {
-                let cost = cost::tile_read_cost(&mca, tile, n, mag);
-                crossbar_e += cost.fixed * per_tile_reads[ti] as f64
-                    + cost.per_active_row * per_tile_active_rows[ti] as f64;
+        let mut active_row_events = 0u64;
+        let mut priced: Option<(u32, cost::TileReadCost)> = None;
+        let tallies = class_reads.iter().zip(&class_active_rows);
+        for (c, (&reads, &active)) in tallies.enumerate() {
+            if reads == 0 {
+                continue;
             }
-            integrations += tile.cols as u64 * per_tile_reads[ti];
+            let class = &part.tiles[class_tiles[c] as usize..class_tiles[c + 1] as usize];
+            active_row_events += class.len() as u64 * active;
+            for tile in class {
+                let cost = match priced {
+                    Some((synapses, cost)) if synapses == tile.synapses => cost,
+                    _ => {
+                        let cost = cost::tile_read_cost(&mca, tile, n, mag);
+                        priced = Some((tile.synapses, cost));
+                        cost
+                    }
+                };
+                crossbar_e += cost.fixed * reads as f64 + cost.per_active_row * active as f64;
+                integrations += tile.cols as u64 * reads;
+            }
         }
         energy.charge(Category::Crossbar, crossbar_e);
 
-        let spikes_out = out_raster.total_spikes();
+        let spikes_out = trace.boundary(l + 1).total_spikes();
         energy.charge(
             Category::Neuron,
             cat.neuron_integrate * integrations as f64 + cat.neuron_spike * spikes_out as f64,
         );
+        // --- tBUFF target lookups for emitted spike packets ---------
+        let out_packets_delivered: u64 = out_packets.iter().sum();
         energy.charge(
             Category::Buffer,
             cat.buffer_access(TARGET_ADDRESS_BITS) * out_packets_delivered as f64,
@@ -707,14 +736,13 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
             tiles,
             candidate_packets: candidates,
             packets_delivered: delivered,
-            per_tile_candidates,
-            per_tile_delivered,
             reads_performed,
             reads_skipped,
-            active_row_events: per_tile_active_rows.iter().sum(),
+            active_row_events,
             bus_packets: bus_packets_total,
             spikes_out,
         });
+        in_packets = out_packets;
     }
 
     TraceReplay {
@@ -726,17 +754,22 @@ fn replay_trace(mapping: &Mapping, trace: &SpikeTrace, engine: ReplayEngine) -> 
     }
 }
 
-/// Number of non-zero `width`-bit windows in one spike vector — the spike
-/// packets a boundary actually emits this timestep. Word-masked (one
+/// Number of non-zero `width`-bit windows in each step of one boundary —
+/// the spike packets it actually emits per timestep. Word-masked (one
 /// zero test per touched word), identical for both replay engines.
-fn delivered_windows(spikes: SpikeView<'_>, width: usize) -> u64 {
-    if spikes.is_silent() {
-        return 0;
-    }
-    let windows = spikes.len().div_ceil(width);
-    (0..windows)
-        .filter(|&w| !spikes.window_is_zero(w * width, width))
-        .count() as u64
+fn boundary_packets(raster: &SpikeRaster, width: usize) -> Vec<u64> {
+    let windows = raster.neurons().div_ceil(width);
+    raster
+        .iter()
+        .map(|spikes| {
+            if spikes.is_silent() {
+                return 0;
+            }
+            (0..windows)
+                .filter(|&w| !spikes.window_is_zero(w * width, width))
+                .count() as u64
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -747,6 +780,7 @@ mod tests {
     use resparc_neuro::encoding::RegularEncoder;
     use resparc_neuro::network::Network;
     use resparc_neuro::topology::Topology;
+    use std::cell::Cell;
 
     fn traced_net(rate: f32, steps: usize) -> (Network, SpikeTrace) {
         let t = Topology::mlp(128, &[96, 10]);
@@ -767,6 +801,46 @@ mod tests {
     }
 
     use crate::map::Mapping;
+
+    thread_local! {
+        /// Windows `PlanWalk::step` has counted on this thread (each test
+        /// runs on its own thread).
+        pub(super) static EVALUATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The plan walk counts each window once per tile class, not once per
+    /// tile: a count, so unlike the replay timing gates it tells a class
+    /// walk from a per-tile one on any machine.
+    #[test]
+    fn plan_walk_counts_each_class_window_once() {
+        // The paper's MNIST-MLP: at MCA 64 each fan-in chunk's 12-13
+        // column tiles share one 64-row window, and 64-bit packets align
+        // every window to one trace word.
+        let net = Network::random(Topology::mlp(784, &[800, 800, 768, 10]), 3, 1.0);
+        let mapping = Mapper::new(ResparcConfig::resparc_64())
+            .map_network(&net)
+            .unwrap();
+        let tiles: usize = mapping.partitions.iter().map(|p| p.tile_count()).sum();
+        assert_eq!((mapping.replay_plan().window_count(), tiles), (51, 506));
+
+        let sim = EventSimulator::new(&mapping);
+        let boundaries = [784, 800, 800, 768, 10];
+        EVALUATIONS.with(|e| e.set(0));
+        sim.run(&SpikeTrace::silent(&boundaries, 20));
+        assert_eq!(EVALUATIONS.with(Cell::get), 0, "silent trace");
+
+        let stimulus: Vec<f32> = (0..784).map(|i| (i % 9) as f32 / 9.0).collect();
+        let raster = RegularEncoder::new(0.8).encode(&stimulus, 20);
+        let (_, trace) = net.spiking().run_traced(&raster);
+        let spiking_words: u64 = (0..4)
+            .flat_map(|b| trace.boundary(b).iter())
+            .map(|step| step.words().iter().filter(|&&w| w != 0).count() as u64)
+            .sum();
+        assert!(spiking_words > 0);
+        EVALUATIONS.with(|e| e.set(0));
+        sim.run(&trace);
+        assert_eq!(EVALUATIONS.with(Cell::get), spiking_words, "rate trace");
+    }
 
     #[test]
     fn report_has_positive_energy_and_latency() {
@@ -807,13 +881,9 @@ mod tests {
                 .map(|rows| rows.len().div_ceil(pkt) as u64)
                 .sum::<u64>()
                 * trace.steps() as u64;
-            assert_eq!(ls.per_tile_candidates.len(), part.tile_count());
-            assert_eq!(ls.per_tile_candidates.iter().sum::<u64>(), expected);
+            assert_eq!(ls.tiles, part.tile_count());
             assert_eq!(ls.candidate_packets, expected);
             assert!(ls.packets_delivered <= ls.candidate_packets);
-            for (d, c) in ls.per_tile_delivered.iter().zip(&ls.per_tile_candidates) {
-                assert!(d <= c);
-            }
         }
     }
 

@@ -6,34 +6,41 @@
 //!
 //! # Plan layout
 //!
-//! A [`ReplayPlan`] holds one `LayerPlan` per mapped layer. A layer
-//! plan flattens every tile's packet windows
-//! (`tile_rows[ti].chunks(packet_bits)`) into one windows array, indexed
-//! per tile through `tile_ranges` (CSR-style). Each window is lowered to
-//! one of two shapes:
+//! A [`ReplayPlan`] holds one `LayerPlan` per mapped layer. A layer plan
+//! lowers each **tile class** once: a class is a run of consecutive tiles
+//! with identical `tile_rows`, so its tiles see the same windows and the
+//! same counts every step. Dense grid tiling makes one class per fan-in
+//! chunk (MNIST-MLP at MCA 64: 506 tiles, 51 classes), and so does a conv
+//! run that spans several tiles. `class_tiles` is the CSR of the classes
+//! over the tiles, and the classes' windows (`rows.chunks(packet_bits)`
+//! of each class's rows) are flattened, in class order, into one windows
+//! array. Each window is lowered to one of two shapes:
 //!
 //! * `WindowPlan::Run` — the window's rows are one contiguous ascending
 //!   id run of width ≤ 64 (the shape every dense layer produces): the
 //!   active count is read by shifting at most two adjacent trace words
 //!   and masking to the run width. No per-row data at all.
-//! * `WindowPlan::Masks` — scattered rows (conv layers under
-//!   input-sharing): the rows are coalesced into `(word index, bit mask)`
-//!   pairs stored in the layer's shared `masks` pool; the active count is
+//! * `WindowPlan::Masks` — scattered rows (conv layers): the rows are
+//!   coalesced into `(word index, bit mask)` pairs stored in the layer's
+//!   shared `masks` pool; the active count is
 //!   `Σ popcount(trace_word & mask)`, one term per *distinct word* the
-//!   window touches instead of one test per row.
+//!   window touches instead of one test per row. Without input sharing a
+//!   tile may hold one input on several rows; each repeat opens another
+//!   mask for its word, so no row is lost to coalescing.
 //!
-//! Both shapes reproduce the scalar row walk's count exactly (rows within
-//! a tile are unique, so popcounts cannot double-count) — every count the
-//! replay engines derive from a plan is an integer, which is what makes
-//! the plan engine's energy ledger bit-identical to the reference
-//! engine's (see [`super::event`]).
+//! Both shapes reproduce the scalar row walk's count exactly (each row
+//! sets exactly one mask bit) — every count the replay engines derive
+//! from a plan is an integer, which is what makes the plan engine's
+//! energy ledger bit-identical to the reference engine's (see
+//! [`super::event`]).
 //!
 //! # Activity index
 //!
 //! Two more tables make the plan engine's cost follow spikes:
 //!
-//! * the **owner table** — the tile each window belongs to, parallel to
-//!   the windows array;
+//! * the **class table** — the class each window belongs to, parallel to
+//!   the windows array (class `c`'s tiles are
+//!   `class_tiles[c]..class_tiles[c + 1]`);
 //! * the **inverse index** — for each input word of the layer, the
 //!   windows whose count reads it (CSR: `word_ranges` into
 //!   `word_windows`). A `Run` is listed under `word`, and under
@@ -41,10 +48,10 @@
 //!   distinct word of its mask pairs.
 //!
 //! A window whose words are all zero counts zero, so a step visits only
-//! the windows listed under its non-zero words; the event walk tallies
-//! every other window (zero-checked, not delivered, no active rows) in
-//! closed form. Both tables are built by counting passes in
-//! [`ReplayPlan::compile`].
+//! the windows listed under its non-zero words, once per class rather
+//! than once per tile; the event walk tallies every other window
+//! (zero-checked, not delivered, no active rows) in closed form. Both
+//! tables are built by counting passes in [`ReplayPlan::compile`].
 //!
 //! The plan depends only on the mapping's `partitions` and
 //! `config.packet_bits` — not on placement — so pool-compaction placement
@@ -118,22 +125,27 @@ impl WindowPlan {
                     f(word + 1);
                 }
             }
-            WindowPlan::Masks { start, end } => masks[start as usize..end as usize]
-                .iter()
-                .for_each(|&(w, _)| f(w)),
+            WindowPlan::Masks { start, end } => {
+                let pairs = &masks[start as usize..end as usize];
+                for (i, &(w, _)) in pairs.iter().enumerate() {
+                    if i == 0 || pairs[i - 1].0 != w {
+                        f(w);
+                    }
+                }
+            }
         }
     }
 }
 
-/// The lowered packet windows of one layer.
+/// The lowered packet windows of one layer, one set per tile class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LayerPlan {
-    /// CSR ranges: tile `ti`'s windows are
-    /// `windows[tile_ranges[ti]..tile_ranges[ti + 1]]`.
-    tile_ranges: Vec<u32>,
-    /// All tiles' windows, flattened in tile order.
+    /// CSR ranges over the tiles: class `c` is tiles
+    /// `class_tiles[c]..class_tiles[c + 1]`.
+    class_tiles: Vec<u32>,
+    /// All classes' windows, flattened in class order.
     windows: Vec<WindowPlan>,
-    /// Owning tile of each window (parallel to `windows`).
+    /// Class of each window (parallel to `windows`).
     owners: Vec<u32>,
     /// CSR ranges of the inverse index: the windows whose count reads
     /// input word `w` are `word_windows[word_ranges[w]..word_ranges[w + 1]]`.
@@ -142,24 +154,26 @@ pub(crate) struct LayerPlan {
     word_windows: Vec<u32>,
     /// Shared `(word, mask)` pool for the [`WindowPlan::Masks`] windows.
     masks: Vec<(u32, u64)>,
+    /// Packet windows summed over every tile.
+    tile_windows: u64,
 }
 
 impl LayerPlan {
-    /// Lowers one layer's tile windows and builds its owner table and
-    /// inverse index for a layer of `inputs` input neurons.
+    /// Splits one layer's tiles into classes (runs of consecutive tiles
+    /// with identical rows), lowers each class's windows and builds the
+    /// class table and inverse index for a layer of `inputs` input
+    /// neurons.
     fn lower(tile_rows: &[Vec<u32>], inputs: usize, pkt: usize) -> Self {
-        let mut tile_ranges = Vec::with_capacity(tile_rows.len() + 1);
-        tile_ranges.push(0u32);
-        let window_total = tile_rows.iter().map(|rows| rows.len().div_ceil(pkt)).sum();
-        let mut windows = Vec::with_capacity(window_total);
-        let mut owners = Vec::with_capacity(window_total);
+        let mut class_tiles = vec![0u32];
+        let mut windows = Vec::new();
+        let mut owners = Vec::new();
         let mut masks: Vec<(u32, u64)> = Vec::new();
-        for (ti, rows) in tile_rows.iter().enumerate() {
-            for window in rows.chunks(pkt) {
+        for (c, class) in tile_rows.chunk_by(|a, b| a == b).enumerate() {
+            for window in class[0].chunks(pkt) {
                 windows.push(lower_window(window, &mut masks));
-                owners.push(ti as u32);
+                owners.push(c as u32);
             }
-            tile_ranges.push(windows.len() as u32);
+            class_tiles.push(class_tiles[c] + class.len() as u32);
         }
 
         // Inverse index by counting: count each word's windows, turn the
@@ -183,29 +197,46 @@ impl LayerPlan {
         }
 
         LayerPlan {
-            tile_ranges,
+            class_tiles,
             windows,
             owners,
             word_ranges,
             word_windows,
             masks,
+            tile_windows: tile_rows
+                .iter()
+                .map(|rows| rows.len().div_ceil(pkt) as u64)
+                .sum(),
         }
     }
 
-    /// The windows of tile `ti`, in the scalar engine's scan order.
+    /// Number of tile classes.
     #[inline]
-    pub(crate) fn tile_windows(&self, ti: usize) -> &[WindowPlan] {
-        &self.windows[self.tile_ranges[ti] as usize..self.tile_ranges[ti + 1] as usize]
+    pub(crate) fn class_count(&self) -> usize {
+        self.class_tiles.len() - 1
     }
 
-    /// All tiles' windows, flattened in tile order (the indices
+    /// The class CSR over the tiles: class `c` is tiles
+    /// `class_tiles()[c]..class_tiles()[c + 1]`.
+    #[inline]
+    pub(crate) fn class_tiles(&self) -> &[u32] {
+        &self.class_tiles
+    }
+
+    /// Number of tiles in class `c`.
+    #[inline]
+    pub(crate) fn class_size(&self, c: usize) -> u64 {
+        u64::from(self.class_tiles[c + 1] - self.class_tiles[c])
+    }
+
+    /// All classes' windows, flattened in class order (the indices
     /// [`word_windows`](Self::word_windows) lists).
     #[inline]
     pub(crate) fn windows(&self) -> &[WindowPlan] {
         &self.windows
     }
 
-    /// The tile that owns window `wi`.
+    /// The class that owns window `wi`.
     #[inline]
     pub(crate) fn owner(&self, wi: usize) -> usize {
         self.owners[wi] as usize
@@ -225,7 +256,14 @@ impl LayerPlan {
 
     /// Number of tiles covered.
     pub(crate) fn tile_count(&self) -> usize {
-        self.tile_ranges.len() - 1
+        self.class_tiles[self.class_count()] as usize
+    }
+
+    /// Packet windows summed over every tile (each class's windows once
+    /// per tile): the layer's zero-check candidates per step.
+    #[inline]
+    pub(crate) fn tile_window_count(&self) -> u64 {
+        self.tile_windows
     }
 }
 
@@ -238,8 +276,8 @@ pub struct ReplayPlan {
 }
 
 impl ReplayPlan {
-    /// Lowers every layer's `tile_rows` windows against the mapping's
-    /// packet width, with each layer's owner table and inverse index.
+    /// Lowers every layer's tile classes' windows against the mapping's
+    /// packet width, with each layer's class table and inverse index.
     /// Placement-independent: only `mapping.partitions` and
     /// `mapping.config.packet_bits` are read.
     pub fn compile(mapping: &Mapping) -> Self {
@@ -271,7 +309,8 @@ impl ReplayPlan {
         self.layers.len()
     }
 
-    /// Total lowered windows across all layers and tiles.
+    /// Total lowered windows across all layers: each tile class's
+    /// windows once, however many tiles the class holds.
     pub fn window_count(&self) -> usize {
         self.layers.iter().map(|l| l.windows.len()).sum()
     }
@@ -318,15 +357,23 @@ fn lower_window(rows: &[u32], masks: &mut Vec<(u32, u64)>) -> WindowPlan {
         }
     } else {
         let start = masks.len() as u32;
-        // Rows are unique within a tile (partition invariant), so OR-ing
-        // them into per-word masks preserves the exact row count. Use an
-        // ordered map: windows are usually nearly sorted and the engines
-        // iterate the pool sequentially.
-        let mut by_word: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+        // OR the rows into per-word masks. Under input sharing a tile's
+        // rows are unique; without it a tile may hold one input on several
+        // rows, so a row whose bit its word's masks all hold already opens
+        // another mask for that word. Every row then sets exactly one bit,
+        // and the popcounts count it once per row, as the scalar walk does.
+        let mut pairs: Vec<(u32, u64)> = Vec::new();
         for &gi in rows {
-            *by_word.entry(gi / 64).or_insert(0) |= 1u64 << (gi % 64);
+            let (word, bit) = (gi / 64, 1u64 << (gi % 64));
+            match pairs.iter_mut().find(|(w, m)| *w == word && m & bit == 0) {
+                Some((_, m)) => *m |= bit,
+                None => pairs.push((word, bit)),
+            }
         }
-        masks.extend(by_word);
+        // Word order: the engines read the pool sequentially, and
+        // `for_each_word` lists a word once.
+        pairs.sort_by_key(|&(w, _)| w);
+        masks.extend(pairs);
         let end = masks.len() as u32;
         debug_assert_eq!(
             masks[start as usize..end as usize]
@@ -334,7 +381,7 @@ fn lower_window(rows: &[u32], masks: &mut Vec<(u32, u64)>) -> WindowPlan {
                 .map(|&(_, m)| m.count_ones() as usize)
                 .sum::<usize>(),
             width,
-            "duplicate rows in a tile window would break popcount identity"
+            "every row of a window sets one mask bit"
         );
         WindowPlan::Masks { start, end }
     }
@@ -373,19 +420,21 @@ mod tests {
         for (l, part) in mapping.partitions.iter().enumerate() {
             let lp = plan.layer(l);
             assert_eq!(lp.tile_count(), part.tile_count());
+            let tiles = lp.class_tiles();
             for seed in [1u64, 99, 12345] {
                 let spikes = pseudo_random_spikes(part.inputs as usize, seed);
-                for (ti, rows) in part.tile_rows.iter().enumerate() {
-                    let planned: Vec<u64> = lp
-                        .tile_windows(ti)
-                        .iter()
-                        .map(|w| w.count(spikes.words(), lp.masks()))
+                for c in 0..lp.class_count() {
+                    let planned: Vec<u64> = (0..lp.windows().len())
+                        .filter(|&wi| lp.owner(wi) == c)
+                        .map(|wi| lp.windows()[wi].count(spikes.words(), lp.masks()))
                         .collect();
-                    let scalar: Vec<u64> = rows
-                        .chunks(pkt)
-                        .map(|win| scalar_count(win, &spikes))
-                        .collect();
-                    assert_eq!(planned, scalar, "layer {l} tile {ti} seed {seed}");
+                    for ti in tiles[c] as usize..tiles[c + 1] as usize {
+                        let scalar: Vec<u64> = part.tile_rows[ti]
+                            .chunks(pkt)
+                            .map(|win| scalar_count(win, &spikes))
+                            .collect();
+                        assert_eq!(planned, scalar, "layer {l} tile {ti} seed {seed}");
+                    }
                 }
             }
         }
@@ -413,8 +462,10 @@ mod tests {
             .dense(10)
             .build()
             .unwrap();
-        let mapping = Mapper::new(ResparcConfig::resparc_32()).map(&t).unwrap();
-        assert_plan_matches_scalar(&mapping);
+        let mapper = Mapper::new(ResparcConfig::resparc_32());
+        assert_plan_matches_scalar(&mapper.map(&t).unwrap());
+        // Unshared tiles may hold one input on several rows.
+        assert_plan_matches_scalar(&mapper.without_input_sharing().map(&t).unwrap());
     }
 
     #[test]
@@ -456,18 +507,68 @@ mod tests {
         );
     }
 
-    /// Checks the owner table and the inverse index of every layer of
-    /// `mapping`; returns how many `Run` windows straddle two words.
-    fn assert_index_is_exact(mapping: &Mapping) -> usize {
+    #[test]
+    fn repeated_rows_count_once_per_row() {
+        // Without input sharing a conv tile can hold one input on several
+        // rows; the scalar walk counts each of them.
+        let mut masks = Vec::new();
+        let rows = vec![3u32, 5, 3, 64, 3, 70, 5];
+        let w = lower_window(&rows, &mut masks);
+        let WindowPlan::Masks { start, end } = w else {
+            panic!("scattered rows must lower to Masks");
+        };
+        // Word 0 needs three masks (row 3 appears three times), word 1 one.
+        assert_eq!((end - start) as usize, 4);
+        let mut words = Vec::new();
+        w.for_each_word(&masks, |word| words.push(word));
+        assert_eq!(words, [0, 1]);
+        for seed in [1u64, 3, 8, 21] {
+            let spikes = pseudo_random_spikes(128, seed);
+            assert_eq!(
+                w.count(spikes.words(), &masks),
+                scalar_count(&rows, &spikes),
+                "seed {seed}"
+            );
+        }
+        assert_eq!(w.count(&[u64::MAX, u64::MAX], &masks), rows.len() as u64);
+    }
+
+    /// Checks the class table and the inverse index of every layer of
+    /// `mapping`; returns how many `Run` windows straddle two words and
+    /// how many classes hold more than one tile.
+    fn assert_index_is_exact(mapping: &Mapping) -> (usize, usize) {
         let plan = ReplayPlan::compile(mapping);
-        let mut spanning = 0;
+        let (mut spanning, mut shared) = (0, 0);
         for (l, part) in mapping.partitions.iter().enumerate() {
             let lp = plan.layer(l);
-            let owners: Vec<usize> = (0..lp.windows().len()).map(|wi| lp.owner(wi)).collect();
-            let tiles: Vec<usize> = (0..lp.tile_count())
-                .flat_map(|ti| std::iter::repeat_n(ti, lp.tile_windows(ti).len()))
+            // The classes cover the tiles in order, and two tiles share a
+            // class exactly when they are consecutive with identical rows.
+            let class_of: Vec<usize> = (0..lp.class_count())
+                .flat_map(|c| std::iter::repeat_n(c, lp.class_size(c) as usize))
                 .collect();
-            assert_eq!(owners, tiles, "layer {l}: owner table");
+            assert_eq!(class_of.len(), part.tile_count(), "layer {l}: tiles");
+            for ti in 1..class_of.len() {
+                assert_eq!(
+                    class_of[ti] == class_of[ti - 1],
+                    part.tile_rows[ti] == part.tile_rows[ti - 1],
+                    "layer {l}: tiles {} and {ti}",
+                    ti - 1
+                );
+            }
+            // The class table lists each class's windows once, in class
+            // order.
+            let pkt = mapping.config.packet_bits as usize;
+            let owners: Vec<usize> = (0..lp.windows().len()).map(|wi| lp.owner(wi)).collect();
+            let classes: Vec<usize> = (0..lp.class_count())
+                .flat_map(|c| {
+                    let rows = &part.tile_rows[lp.class_tiles()[c] as usize];
+                    std::iter::repeat_n(c, rows.len().div_ceil(pkt))
+                })
+                .collect();
+            assert_eq!(owners, classes, "layer {l}: class table");
+            shared += (0..lp.class_count())
+                .filter(|&c| lp.class_size(c) > 1)
+                .count();
             // A window reads word `w` exactly when it counts rows with
             // only that word's bits set.
             let words = (part.inputs as usize).div_ceil(64);
@@ -494,7 +595,7 @@ mod tests {
                 })
                 .count();
         }
-        spanning
+        (spanning, shared)
     }
 
     #[test]
@@ -507,19 +608,26 @@ mod tests {
             .build()
             .unwrap();
         let mlp = Topology::mlp(200, &[150, 10]);
-        let mut spanning = 0;
+        let (mut spanning, mut shared) = (0, 0);
         for topology in [&mlp, &conv] {
             // MCA 100 and 128 put runs off 64-bit word boundaries.
             for mca in [32, 64, 100, 128] {
                 for pkt in [8u32, 24, 64, 100, 128] {
                     let mut cfg = ResparcConfig::with_mca_size(mca);
                     cfg.packet_bits = pkt;
-                    let mapping = Mapper::new(cfg).map(topology).unwrap();
-                    spanning += assert_index_is_exact(&mapping);
+                    for mapper in [
+                        Mapper::new(cfg.clone()),
+                        Mapper::new(cfg).without_input_sharing(),
+                    ] {
+                        let (s, c) = assert_index_is_exact(&mapper.map(topology).unwrap());
+                        spanning += s;
+                        shared += c;
+                    }
                 }
             }
         }
         assert!(spanning > 0, "no case has a run straddling two words");
+        assert!(shared > 0, "no case has a class of several tiles");
     }
 
     #[test]

@@ -365,11 +365,11 @@ proptest! {
     }
 
     /// Packet conservation: every packet window the event simulator
-    /// zero-checks belongs to exactly one tile of the mapping, so the
-    /// per-tile tallies partition the layer totals — and the candidate
-    /// count is exactly `steps × Σ_tiles ceil(rows / packet_bits)`
+    /// zero-checks is a window of exactly one tile of the mapping, so the
+    /// candidate count is exactly `steps × Σ_tiles ceil(rows / packet_bits)`
     /// (mirroring the partitioner's every-synapse-in-exactly-one-tile
-    /// invariant at packet granularity).
+    /// invariant at packet granularity), and no more packets are delivered
+    /// than were zero-checked.
     #[test]
     fn event_packets_map_to_exactly_one_tile(
         inputs in 8usize..180,
@@ -395,30 +395,10 @@ proptest! {
         let report = EventSimulator::new(&mapping).run(&trace);
         let pkt = mapping.config.packet_bits as usize;
         for (ls, part) in report.layers.iter().zip(mapping.partitions.iter()) {
-            // One tally slot per tile, no more, no fewer.
-            prop_assert_eq!(ls.per_tile_candidates.len(), part.tile_count());
-            prop_assert_eq!(ls.per_tile_delivered.len(), part.tile_count());
-            // Each tile's candidates are its own packet windows: rows are
-            // recorded per tile, so every window is attributable to
-            // exactly one tile.
-            for ((cand, rows), deliv) in ls
-                .per_tile_candidates
-                .iter()
-                .zip(&part.tile_rows)
-                .zip(&ls.per_tile_delivered)
-            {
-                prop_assert_eq!(*cand, (rows.len().div_ceil(pkt) * steps) as u64);
-                prop_assert!(deliv <= cand);
-            }
-            // The per-tile tallies partition the layer totals.
-            prop_assert_eq!(
-                ls.per_tile_candidates.iter().sum::<u64>(),
-                ls.candidate_packets
-            );
-            prop_assert_eq!(
-                ls.per_tile_delivered.iter().sum::<u64>(),
-                ls.packets_delivered
-            );
+            prop_assert_eq!(ls.tiles, part.tile_count());
+            let windows: usize = part.tile_rows.iter().map(|rows| rows.len().div_ceil(pkt)).sum();
+            prop_assert_eq!(ls.candidate_packets, (windows * steps) as u64);
+            prop_assert!(ls.packets_delivered <= ls.candidate_packets);
         }
     }
 
@@ -1402,19 +1382,27 @@ proptest! {
     /// `run_weighted`, which replays on the plan engine — on random MLP
     /// and small conv/pool networks, MCA sizes, packet widths (windows
     /// that straddle two words, and windows wider than 64) and
-    /// event-driven settings. Each trace chains TTFS, bursty-head, silent
-    /// and regular-rate segments, so one trace mixes silent, sparse and
-    /// dense steps; traces come from clean and stuck-at-faulted kernels
-    /// alike, and an all-silent trace is replayed too.
+    /// event-driven settings. The shapes cover the tile classes the plan
+    /// engine counts once: dense grid tiling with and without input
+    /// sharing (unshared tiles repeat their window, the last column group
+    /// fewer times), full and banded conv channel tables, and conv runs of
+    /// up to 39 maps, which span several identical tiles at MCA 24 and 32.
+    /// Each trace chains TTFS, bursty-head, silent and regular-rate
+    /// segments, so one trace mixes silent, sparse and dense steps; traces
+    /// come from clean and stuck-at-faulted kernels alike, and an
+    /// all-silent trace is replayed too.
     #[test]
     fn plan_replay_engine_is_bit_identical_to_reference(
         conv in any::<bool>(),
         hidden in 8usize..150,
         inputs in 16usize..200,
         side in 4usize..13,
-        maps in 1usize..5,
+        channels in 1usize..4,
+        maps in 1usize..40,
+        banded in any::<bool>(),
         same_padding in any::<bool>(),
-        segments in proptest::collection::vec((0u8..4, 1usize..6, 0u32..16), 1..4),
+        input_sharing in any::<bool>(),
+        segments in proptest::collection::vec((0u8..4, 1usize..6, 0u32..256), 1..4),
         rate in 0.0f32..1.0,
         mca in prop_oneof![Just(24usize), Just(32), Just(64), Just(100), Just(128)],
         packet_bits in prop_oneof![Just(8u32), Just(24), Just(64), Just(100), Just(128)],
@@ -1429,8 +1417,9 @@ proptest! {
 
         let topology = if conv {
             let padding = if same_padding { Padding::Same } else { Padding::Valid };
-            Topology::builder(Shape::new(side, side, 1))
-                .conv(maps, 3, padding, ChannelTable::Full)
+            let table = if banded { ChannelTable::Banded { fan: 2 } } else { ChannelTable::Full };
+            Topology::builder(Shape::new(side, side, channels))
+                .conv(maps, 3, padding, table)
                 .pool(2)
                 .dense(10)
                 .build()
@@ -1442,7 +1431,7 @@ proptest! {
         let net = Network::random(topology, seed, 1.0);
         let mut raster = SpikeRaster::new(n_in);
         for &(kind, len, lit_words) in &segments {
-            // Light a random subset of the (at most four) input words, so
+            // Light a random subset of the (at most eight) input words, so
             // silent words sit next to spiking ones.
             let stimulus: Vec<f32> = (0..n_in)
                 .map(|i| {
@@ -1478,7 +1467,9 @@ proptest! {
 
         let mut cfg = ResparcConfig::with_mca_size(mca).with_event_driven(event_driven);
         cfg.packet_bits = packet_bits;
-        let mapping = Mapper::new(cfg.clone()).map_network(&net).expect("small networks map");
+        let mapper = Mapper::new(cfg.clone());
+        let mapper = if input_sharing { mapper } else { mapper.without_input_sharing() };
+        let mapping = mapper.map_network(&net).expect("small networks map");
         for (name, trace) in [("mixed", &trace), ("silent", &silent)] {
             let reference = EventSimulator::with_engine(&mapping, ReplayEngine::Reference).run(trace);
             let plan = EventSimulator::with_engine(&mapping, ReplayEngine::Plan).run(trace);
@@ -1488,7 +1479,8 @@ proptest! {
         let mut pool = FabricPool::new(cfg);
         let id = pool.admit(&net, "t").expect("one small tenant fits");
         let sim = SharedEventSimulator::new(&pool);
-        let reference = EventSimulator::with_engine(&mapping, ReplayEngine::Reference).replay(&trace);
+        let resident = &pool.tenant(id).expect("admitted").mapping;
+        let reference = EventSimulator::with_engine(resident, ReplayEngine::Reference).replay(&trace);
         let shared_ref = sim.interleave(&[(id, &reference)], &[weight]);
         let shared_plan = sim.run_weighted(&[(id, &trace)], &[weight]);
         prop_assert_eq!(&shared_ref, &shared_plan, "weighted SharedReport must be bit-identical");

@@ -32,6 +32,9 @@ fn mnist_stimulus() -> Vec<f32> {
 /// captures a Poisson rate raster; `mnist_mlp_silent_20steps` captures an
 /// all-silent one, where every layer-step is skipped, so its cost is the
 /// runner and the recorder alone. CI gates their ratio.
+/// `encode_poisson_mnist_20steps` times the stage before capture: Poisson
+/// encoding of one synthetic MNIST digit (peak rate 0.8, as the `dense`
+/// sweeps use), which draws only for the digit's lit pixels.
 fn bench_capture_trace(c: &mut Criterion) {
     let net = mnist_mlp_net();
     let mut enc = PoissonEncoder::new(0.4, 5);
@@ -39,6 +42,11 @@ fn bench_capture_trace(c: &mut Criterion) {
     let silent = SpikeRaster::zeroed(784, STEPS);
     let mut group = c.benchmark_group("trace_capture");
     group.sample_size(10);
+    let digit = DatasetKind::Mnist.generator(5).sample(0, 0);
+    let mut digit_enc = PoissonEncoder::new(0.8, 5);
+    group.bench_function("encode_poisson_mnist_20steps", |b| {
+        b.iter(|| black_box(digit_enc.encode(black_box(&digit), STEPS)))
+    });
     for (id, raster) in [
         ("mnist_mlp_20steps", &raster),
         ("mnist_mlp_silent_20steps", &silent),

@@ -49,7 +49,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::spike::{SpikeRaster, SpikeVector};
+use crate::spike::SpikeRaster;
 
 /// How a spiking classification outcome should be read out — the decoder
 /// half of a coding scheme.
@@ -96,17 +96,26 @@ impl PoissonEncoder {
 
     /// Encodes intensities (`[0, 1]`, clamped) into a raster of `steps`
     /// timesteps, advancing the encoder's own RNG.
+    ///
+    /// Each step draws once per lit input (spike probability above zero;
+    /// a NaN intensity counts as dark), in ascending input order, so the
+    /// draws follow the lit inputs, not the input width.
     pub fn encode(&mut self, intensities: &[f32], steps: usize) -> SpikeRaster {
-        let mut raster = SpikeRaster::new(intensities.len());
-        for _ in 0..steps {
-            let mut v = SpikeVector::new(intensities.len());
-            for (i, &p) in intensities.iter().enumerate() {
-                let prob = (p.clamp(0.0, 1.0) as f64) * self.max_rate;
-                if prob > 0.0 && self.rng.random_bool(prob) {
-                    v.set(i, true);
+        let lit: Vec<(usize, f64)> = intensities
+            .iter()
+            .map(|&p| (p.clamp(0.0, 1.0) as f64) * self.max_rate)
+            .enumerate()
+            .filter(|&(_, prob)| prob > 0.0)
+            .collect();
+        let mut raster = SpikeRaster::zeroed(intensities.len(), steps);
+        for t in 0..steps {
+            for &(i, prob) in &lit {
+                #[cfg(test)]
+                tests::VISITS.with(|v| v.set(v.get() + 1));
+                if self.rng.random_bool(prob) {
+                    raster.set(t, i, true);
                 }
             }
-            raster.push(v);
         }
         raster
     }
@@ -136,18 +145,16 @@ impl RegularEncoder {
     /// Encodes intensities into a deterministic raster of `steps`
     /// timesteps.
     pub fn encode(&self, intensities: &[f32], steps: usize) -> SpikeRaster {
-        let mut raster = SpikeRaster::new(intensities.len());
+        let mut raster = SpikeRaster::zeroed(intensities.len(), steps);
         let mut phase = vec![0.0f64; intensities.len()];
-        for _ in 0..steps {
-            let mut v = SpikeVector::new(intensities.len());
+        for t in 0..steps {
             for (i, &p) in intensities.iter().enumerate() {
                 phase[i] += (p.clamp(0.0, 1.0) as f64) * self.max_rate;
                 if phase[i] >= 1.0 {
                     phase[i] -= 1.0;
-                    v.set(i, true);
+                    raster.set(t, i, true);
                 }
             }
-            raster.push(v);
         }
         raster
     }
@@ -343,6 +350,76 @@ impl fmt::Display for Encoding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spike::SpikeVector;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Inner-loop visits of `PoissonEncoder::encode` on this thread,
+        /// one RNG draw each (each test runs on its own thread).
+        pub(super) static VISITS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The per-input scan that `PoissonEncoder::encode` replaced, kept as
+    /// its oracle: every input on every step, drawing for each input whose
+    /// probability is above zero.
+    fn encode_per_input(
+        max_rate: f64,
+        rng: &mut StdRng,
+        intensities: &[f32],
+        steps: usize,
+    ) -> SpikeRaster {
+        let mut raster = SpikeRaster::new(intensities.len());
+        for _ in 0..steps {
+            let mut v = SpikeVector::new(intensities.len());
+            for (i, &p) in intensities.iter().enumerate() {
+                let prob = (p.clamp(0.0, 1.0) as f64) * max_rate;
+                if prob > 0.0 && rng.random_bool(prob) {
+                    v.set(i, true);
+                }
+            }
+            raster.push(v);
+        }
+        raster
+    }
+
+    #[test]
+    fn poisson_draws_only_for_lit_inputs_in_the_per_input_order() {
+        let mix = [
+            0.0,
+            -0.0,
+            -0.5,
+            1.5,
+            f32::NAN,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            0.3,
+            1.0,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            0.999,
+            f32::EPSILON,
+        ];
+        let mixed: Vec<f32> = (0..100).map(|i| mix[(i * 7) % mix.len()]).collect();
+        let dark: Vec<f32> = (0..70).map(|i| mix[[0, 1, 2, 4, 9][i % 5]]).collect();
+        for (stimulus, lit) in [(&mixed, 60), (&dark, 0)] {
+            assert_eq!(stimulus.iter().filter(|&&p| p > 0.0).count(), lit);
+            for max_rate in [1e-3, 0.5, 1.0] {
+                for steps in [0, 1, 20] {
+                    let mut enc = PoissonEncoder::new(max_rate, 9);
+                    let mut rng = StdRng::seed_from_u64(9);
+                    // Twice on one encoder: the RNG stream carries over.
+                    for call in 0..2 {
+                        VISITS.with(|v| v.set(0));
+                        let got = enc.encode(stimulus, steps);
+                        let want = encode_per_input(max_rate, &mut rng, stimulus, steps);
+                        let at = format!("rate {max_rate}, {steps} steps, call {call}");
+                        assert_eq!(got, want, "{at}");
+                        assert_eq!(VISITS.with(Cell::get), (lit * steps) as u64, "{at}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn poisson_rate_tracks_intensity() {

@@ -471,6 +471,12 @@ impl SnnRunner {
     /// spikes and synaptic-event counts equal those of the full walk in
     /// [`reference::RefSnnRunner`].
     ///
+    /// A layer that runs fires a word of membranes at a time: for each
+    /// 64-neuron chunk, one loop without a branch on the outcome steps
+    /// every [`Membrane`] and stores a flag byte per neuron, then the
+    /// flags are packed into the chunk's spike word, which is stored
+    /// whole, and the layer's spike count is the popcount of its words.
+    ///
     /// # Panics
     ///
     /// Panics if `input.len() != network.input_count()`.
@@ -487,26 +493,19 @@ impl SnnRunner {
             let (done, rest) = self.spikes.split_at_mut(li);
             let in_spikes = if li == 0 { input } else { done[li - 1].view() };
             let out = &mut rest[0];
-            out.clear();
             if in_spikes.is_silent() && !self.armed[li] {
+                out.clear();
                 continue;
             }
             let currents = &mut self.currents[li];
             currents.fill(0.0);
             self.synaptic_events[li] += layer.accumulate_spikes(in_spikes, currents);
-            let threshold = layer.threshold();
-            let (mut fired, mut armed) = (0u64, false);
-            for (o, (m, &current)) in self.membranes[li]
-                .iter_mut()
-                .zip(currents.iter())
-                .enumerate()
-            {
-                if m.step(current, threshold) {
-                    out.set(o, true);
-                    fired += 1;
-                    armed |= m.potential() >= threshold;
-                }
-            }
+            let (fired, armed) = fire(
+                &mut self.membranes[li],
+                currents,
+                layer.threshold(),
+                out.words_mut(),
+            );
             self.layer_spikes[li] += fired;
             self.armed[li] = armed;
         }
@@ -618,6 +617,41 @@ impl SnnRunner {
         self.first_spikes.fill(u32::MAX);
         self.steps_run = 0;
     }
+}
+
+/// One layer-step's membrane pass: steps membrane `o` on `currents[o]`,
+/// writes every spike word of the layer (64 neurons per word, bits past
+/// the last neuron zero) and returns the spike count and whether a neuron
+/// ended the step at or above threshold. Only a neuron that fired can: one
+/// that did not fire ends below threshold or at NaN.
+///
+/// Each 64-neuron chunk takes two passes. The first steps every membrane
+/// without branching on the outcome and stores a 0/1 flag byte per neuron;
+/// the second packs the flags eight at a time with one multiply per byte
+/// of the word. Split this way, the first pass compiles to packed float
+/// compares even on baseline x86-64, where one loop that shifts each
+/// outcome into the word stays scalar.
+fn fire(
+    membranes: &mut [Membrane],
+    currents: &[f32],
+    threshold: f32,
+    words: &mut [u64],
+) -> (u64, bool) {
+    let (mut fired, mut armed) = (0u64, false);
+    let chunks = membranes.chunks_mut(64).zip(currents.chunks(64));
+    for ((bank, drive), word) in chunks.zip(words) {
+        let mut flags = [[0u8; 8]; 8];
+        for ((m, &current), flag) in bank.iter_mut().zip(drive).zip(flags.as_flattened_mut()) {
+            *flag = u8::from(m.step(current, threshold));
+            armed |= m.potential() >= threshold;
+        }
+        // The multiply gathers flag byte k of `eight` into bit 56 + k.
+        *word = flags.iter().enumerate().fold(0, |bits, (k, &eight)| {
+            bits | (u64::from_le_bytes(eight).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
+        });
+        fired += u64::from(word.count_ones());
+    }
+    (fired, armed)
 }
 
 /// Converts sentinel-encoded first-spike steps (`u32::MAX` = never) into
@@ -1069,6 +1103,133 @@ mod tests {
         assert_eq!(outcome.steps, 5, "nothing fires, nothing to exit on");
         assert_eq!(trace.steps(), 5);
         assert!(trace.is_silent());
+    }
+
+    /// The per-neuron membrane loop that [`fire`] replaced, kept as its
+    /// oracle: one branch per neuron, one `set` per spike.
+    fn fire_per_neuron(
+        membranes: &mut [Membrane],
+        currents: &[f32],
+        threshold: f32,
+        out: &mut SpikeVector,
+    ) -> (u64, bool) {
+        out.clear();
+        let (mut fired, mut armed) = (0, false);
+        for (o, (m, &current)) in membranes.iter_mut().zip(currents).enumerate() {
+            if m.step(current, threshold) {
+                out.set(o, true);
+                fired += 1;
+                armed |= m.potential() >= threshold;
+            }
+        }
+        (fired, armed)
+    }
+
+    /// Values at the edges of the IF update under threshold 1: exactly the
+    /// threshold, just below it, twice it (a residue that fires again),
+    /// signed zeros, subnormals, infinities, NaN and ordinary values.
+    const EDGE_VALUES: [f32; 15] = [
+        1.0,
+        f32::from_bits(0x3F7F_FFFF),
+        2.0,
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::MIN_POSITIVE / 2.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        0.3,
+        -0.45,
+        0.7,
+        5.5,
+        0.55,
+    ];
+
+    /// Equal potential bits; NaN payloads are not specified, so any two
+    /// NaNs match.
+    fn same_potentials(a: &[Membrane], b: &[Membrane]) -> bool {
+        a.iter().zip(b).all(|(x, y)| {
+            let (x, y) = (x.potential(), y.potential());
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        })
+    }
+
+    #[test]
+    fn word_pass_matches_per_neuron_loop() {
+        for width in 1..=200 {
+            let mut bank = vec![Membrane::new(); width];
+            let mut scalar_bank = bank.clone();
+            // Stale bits everywhere, past `width` too: the pass must
+            // overwrite every word.
+            let mut words = vec![u64::MAX; width.div_ceil(64)];
+            let mut scalar = SpikeVector::new(width);
+            for step in 0..6 {
+                // Step 4 is silent: only armed neurons fire again.
+                let currents: Vec<f32> = (0..width)
+                    .map(|o| match step {
+                        4 => 0.0,
+                        _ => EDGE_VALUES[(o * 7 + step * 3 + width) % EDGE_VALUES.len()],
+                    })
+                    .collect();
+                let got = fire(&mut bank, &currents, 1.0, &mut words);
+                let want = fire_per_neuron(&mut scalar_bank, &currents, 1.0, &mut scalar);
+                let at = format!("width {width}, step {step}");
+                assert_eq!(got, want, "(fired, armed) at {at}");
+                // `scalar` keeps its tail bits zero, so this also pins
+                // every bit past `width` of the last word at zero.
+                assert_eq!(words, scalar.words(), "spike words at {at}");
+                assert!(same_potentials(&bank, &scalar_bank), "potentials at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn runner_word_pass_matches_scalar_loop_and_refires_on_silent_steps() {
+        let lit: [&[usize]; 6] = [&[0, 1, 2], &[0], &[], &[1, 2], &[], &[]];
+        let mut refired = 0;
+        for width in 1..=200 {
+            let weights = (0..3 * width)
+                .map(|k| EDGE_VALUES[(k * 11 + width) % EDGE_VALUES.len()])
+                .collect();
+            let spec = LayerSpec::Dense {
+                inputs: 3,
+                outputs: width,
+            };
+            let net = Network::new(3, vec![Layer::new(spec, weights, 1.0)]);
+            let kernels = net.compiled();
+            let mut runner = net.spiking();
+            let mut raster = SpikeRaster::new(3);
+            let (mut bank, mut scalar) = (vec![Membrane::new(); width], SpikeVector::new(width));
+            let (mut armed, mut fired) = (false, 0);
+            for (step, ones) in lit.iter().enumerate() {
+                let mut input = SpikeVector::new(3);
+                ones.iter().for_each(|&i| input.set(i, true));
+                // Scalar model of `step`: a silent layer runs only when armed.
+                scalar.clear();
+                if !input.is_silent() || armed {
+                    let mut currents = vec![0.0; width];
+                    kernels
+                        .layer(0)
+                        .accumulate_spikes(input.view(), &mut currents);
+                    let (f, a) = fire_per_neuron(&mut bank, &currents, 1.0, &mut scalar);
+                    (fired, armed) = (fired + f, a);
+                }
+                let out = runner.step(&input);
+                assert_eq!(out, &scalar, "spikes at width {width}, step {step}");
+                if input.is_silent() {
+                    refired += out.count_ones();
+                }
+                let at = format!("width {width}, step {step}");
+                assert!(same_potentials(&runner.membranes[0], &bank), "{at}");
+                raster.push(input);
+            }
+            let outcome = runner.outcome();
+            let rate = fired as f64 / (lit.len() * width) as f64;
+            assert_eq!(outcome.layer_rates, vec![rate], "width {width}");
+            assert_eq!(outcome, reference::RefSnnRunner::new(&net).run(&raster));
+        }
+        assert!(refired > 0, "some armed neuron must fire on a silent step");
     }
 
     #[test]

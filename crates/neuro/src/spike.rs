@@ -183,6 +183,12 @@ impl SpikeVector {
         &self.words
     }
 
+    /// Mutable access to the words, for writers that fill a whole word at
+    /// a time. The caller keeps every bit at index ≥ `len` zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// A borrowed view of this vector (same read API, no ownership).
     #[inline]
     pub fn view(&self) -> SpikeView<'_> {
